@@ -99,6 +99,7 @@ GranuleTracker::assign(PhysAddr addr, GranuleState to, int realm)
         return RmiStatus::BadState;
     }
     it->second = Entry{to, realm};
+    owned_[realm].insert(addr);
     return RmiStatus::Success;
 }
 
@@ -112,26 +113,34 @@ GranuleTracker::release(PhysAddr addr, GranuleState from, int realm)
     }
     // The RMM scrubs contents before returning a granule to Delegated.
     it->second = Entry{GranuleState::Delegated, -1};
+    auto idx = owned_.find(realm);
+    idx->second.erase(addr);
+    if (idx->second.empty())
+        owned_.erase(idx);
     return RmiStatus::Success;
 }
 
 void
 GranuleTracker::releaseOwned(int realm)
 {
-    for (auto& [addr, e] : entries_) {
-        if (e.owner == realm)
-            e = Entry{GranuleState::Delegated, -1};
-    }
+    auto idx = owned_.find(realm);
+    if (idx == owned_.end())
+        return;
+    for (PhysAddr addr : idx->second)
+        entries_.find(addr)->second = Entry{GranuleState::Delegated, -1};
+    owned_.erase(idx);
 }
 
 std::vector<std::pair<PhysAddr, GranuleState>>
 GranuleTracker::owned(int realm) const
 {
     std::vector<std::pair<PhysAddr, GranuleState>> out;
-    for (const auto& [addr, e] : entries_) {
-        if (e.owner == realm)
-            out.emplace_back(addr, e.state);
-    }
+    auto idx = owned_.find(realm);
+    if (idx == owned_.end())
+        return out;
+    out.reserve(idx->second.size());
+    for (PhysAddr addr : idx->second)
+        out.emplace_back(addr, entries_.find(addr)->second.state);
     return out;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -59,7 +60,16 @@ enum class RmiStatus {
 
 const char* rmiStatusName(RmiStatus s);
 
-/** Tracks the state and owner of every delegated granule. */
+/**
+ * Tracks the state and owner of every delegated granule.
+ *
+ * Besides the address-ordered table of every tracked granule, the
+ * tracker keeps a per-realm index of the granules each realm owns, so
+ * owned() and releaseOwned() cost O(granules the realm owns) rather
+ * than O(granules ever tracked). Realm teardown leaves its granules
+ * Delegated in the table (nothing undelegates them), so the table
+ * grows with every realm a testbed has held; the index does not.
+ */
 class GranuleTracker
 {
   public:
@@ -101,6 +111,9 @@ class GranuleTracker
     };
 
     std::map<PhysAddr, Entry> entries_;
+    /** Realm id -> addresses it owns, ascending; an index over
+     * entries_ kept in step by assign, release and releaseOwned. */
+    std::map<int, std::set<PhysAddr>> owned_;
 };
 
 } // namespace cg::rmm

@@ -127,6 +127,8 @@ Rmm::realmDestroy(int realm_id)
     Realm* r = realm(realm_id);
     if (!r)
         return RmiStatus::BadState;
+    if (r->mig.phase != MigrationPhase::Idle)
+        return RmiStatus::Busy; // abort or commit the migration first
     for (const Rec& rec : r->recs) {
         if (rec.state != RecState::Destroyed)
             return RmiStatus::BadState; // destroy RECs first

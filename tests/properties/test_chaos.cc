@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,14 @@ struct SitePlan {
     const char* plan;
     FaultSite site;
 };
+
+// gtest's default printer dumps the struct's raw bytes, which embed
+// the load addresses of the strings; printing the label keeps the
+// discovered ctest names identical from build to build.
+void PrintTo(const SitePlan& sp, std::ostream* os)
+{
+    *os << sp.label;
+}
 
 class ChaosSites : public ::testing::TestWithParam<SitePlan>
 {

@@ -162,6 +162,30 @@ TEST_F(MigrationFixture, PhaseMachineGuardsLifecycleRmis)
     EXPECT_EQ(rmm->migrateAbort(realm), RmiStatus::BadState);
 }
 
+TEST_F(MigrationFixture, RealmDestroyBouncesWhileMigrationInFlight)
+{
+    // A realm whose RECs are all gone can still be prepared (it owns
+    // its RD, RTTs and data). Destroying it mid-migration would leave
+    // migrationsStarted without a matching commit or abort.
+    boot();
+    makeRealm();
+    ASSERT_EQ(rmm->recDestroy(realm, rec), RmiStatus::Success);
+    const auto before = rmm->granules().owned(realm);
+    ASSERT_EQ(rmm->migratePrepare(realm), RmiStatus::Success);
+
+    EXPECT_EQ(rmm->realmDestroy(realm), RmiStatus::Busy);
+    ASSERT_NE(rmm->realm(realm), nullptr);
+    EXPECT_EQ(rmm->granules().owned(realm), before);
+
+    ASSERT_EQ(rmm->migrateAbort(realm), RmiStatus::Success);
+    EXPECT_EQ(rmm->realmDestroy(realm), RmiStatus::Success);
+    EXPECT_TRUE(rmm->granules().owned(realm).empty());
+    const RmmStats& st = rmm->stats();
+    EXPECT_EQ(st.migrationsStarted.value(),
+              st.migrationsCommitted.value() +
+                  st.migrationsAborted.value());
+}
+
 TEST_F(MigrationFixture, PrepareRequiresGappedActivePausedRealm)
 {
     // Without core gapping there is no binding to migrate.
