@@ -15,9 +15,12 @@
 #              destroy soak, fault sites armed, checker on) run twice;
 #              the two outputs must be byte-identical
 #   4. check:  the isolation-checker gate --
-#                a. fig7 under --check twice; both runs must succeed
-#                   and print byte-identical tables (the checker is
-#                   pure observation and replays deterministically)
+#                a. fig7, fig8 and fig9 each under --check twice and
+#                   once disarmed; every run must succeed and all three
+#                   must print byte-identical tables (the checker is
+#                   pure observation and replays deterministically).
+#                   fig8 and fig9 take under a second each, since
+#                   their guests power off when the workload is done
 #                b. the must-fire suite: a seeded scrub-skip fault MUST
 #                   produce a leak edge, proving the checker can
 #                   actually fail a run (a checker that cannot fire is
@@ -66,10 +69,14 @@ build/bench/ext_soak_churn --quick --check > build/soak_replay_b.txt
 diff build/soak_replay_a.txt build/soak_replay_b.txt
 
 echo "==> [4/7] isolation-checker gate"
-echo "  --> --check smoke + replay determinism (fig7)"
-build/bench/fig7_multi_vm --check > build/check_fig7_a.txt
-build/bench/fig7_multi_vm --check > build/check_fig7_b.txt
-diff build/check_fig7_a.txt build/check_fig7_b.txt
+for bench in fig7_multi_vm fig8_netpipe fig9_iozone; do
+    echo "  --> --check smoke + replay determinism ($bench)"
+    build/bench/$bench --check > build/check_${bench}_a.txt
+    build/bench/$bench --check > build/check_${bench}_b.txt
+    build/bench/$bench > build/check_${bench}_bare.txt
+    diff build/check_${bench}_a.txt build/check_${bench}_b.txt
+    diff build/check_${bench}_a.txt build/check_${bench}_bare.txt
+done
 echo "  --> must-fire: seeded scrub-skip fault raises a leak edge"
 ctest --test-dir build --output-on-failure -R 'CheckMustFire'
 

@@ -410,12 +410,25 @@ VCpu::rsiAttest(std::uint64_t challenge)
 Proc<void>
 VCpu::shutdown()
 {
+    stop();
+    if (!vm_.hasLiveTask()) {
+        // The VM's last task is done: SYSTEM_OFF.
+        for (int i = 0; i < vm_.numVcpus(); ++i)
+            vm_.vcpu(i).stop();
+    }
+    co_return;
+}
+
+void
+VCpu::stop()
+{
+    if (stopped_)
+        return;
     stopped_ = true;
     vtimer_->disarm();
     ExitInfo info;
     info.reason = ExitReason::Shutdown;
     pushEvent(info);
-    co_return;
 }
 
 // ------------------------------------------------------ guest dispatching

@@ -143,9 +143,21 @@ class VCpu : public rmm::GuestContext,
      */
     Proc<rmm::AttestationToken> rsiAttest(std::uint64_t challenge);
 
-    /** PSCI SYSTEM_OFF: the vCPU stops after this exit. */
+    /**
+     * PSCI shutdown: this vCPU stops after a final Shutdown exit. While
+     * another guest task is attached to a running vCPU of the VM, that
+     * is all (CPU_OFF). Otherwise the caller was the VM's last task and
+     * the whole VM powers off (SYSTEM_OFF): every other vCPU stops too,
+     * through the same exit, so idle vCPUs stop taking ticks.
+     */
     Proc<void> shutdown();
     /** @} */
+
+    /** A guest task is attached (started and not yet finished). */
+    bool hasGuestTasks() const { return !guestProcs_.empty(); }
+
+    /** Took shutdown (its own or the VM's): never entered again. */
+    bool stopped() const { return stopped_; }
 
     /**
      * Register the guest driver handler for a virtual interrupt.
@@ -186,6 +198,9 @@ class VCpu : public rmm::GuestContext,
     };
 
     hw::Machine& machine();
+    /** Stop this vCPU: disarm its virtual timer and queue the Shutdown
+     * exit its runner leaves on. A no-op once stopped. */
+    void stop();
     void pushEvent(ExitInfo info);
     void maybeIdle();
     void onIdleCheck();

@@ -13,6 +13,16 @@ Vm::Vm(hw::Machine& machine, VmConfig cfg, sim::DomainId domain)
         vcpus_.push_back(std::make_unique<VCpu>(*this, i));
 }
 
+bool
+Vm::hasLiveTask() const
+{
+    for (const auto& v : vcpus_) {
+        if (!v->stopped() && v->hasGuestTasks())
+            return true;
+    }
+    return false;
+}
+
 void
 Vm::registerStats(sim::StatRegistry& reg)
 {

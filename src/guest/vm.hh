@@ -48,6 +48,13 @@ class Vm
     bool confidential() const { return confidential_; }
     void setConfidential(bool c) { confidential_ = c; }
 
+    /**
+     * Is a guest task still attached to a vCPU that has not stopped?
+     * Tasks on stopped vCPUs do not count: a stopped vCPU is never
+     * entered again, so they can never run.
+     */
+    bool hasLiveTask() const;
+
     /** Register per-vCPU stats under "guest.<name>.vcpuN." in @p reg. */
     void registerStats(sim::StatRegistry& reg);
 

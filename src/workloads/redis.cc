@@ -262,8 +262,12 @@ RedisOpenLoop::scheduleNextArrival()
     const Tick gap = static_cast<Tick>(
         bed_.sim().rng().exponential(mean_gap_ticks));
     bed_.sim().queue().scheduleIn(gap, [this] {
-        if (bed_.sim().now() >= measureEnd_)
+        if (bed_.sim().now() >= measureEnd_) {
+            // The last response may already be in: then no further
+            // onClientRx() would ever stop the servers.
+            maybeStopServers();
             return;
+        }
         sendOne();
         scheduleNextArrival();
     });
@@ -290,16 +294,20 @@ RedisOpenLoop::onClientRx(const vmm::Packet& pkt)
     completed_.inc();
     if (inFlight_ > 0)
         --inFlight_;
-    if (now >= measureEnd_ && inFlight_ == 0 && !stopSent_) {
-        // Load is off and the last response is in: poison every
-        // queue so the server threads shut their vCPUs down and the
-        // testbed can quiesce.
-        stopSent_ = true;
-        for (int q = 0; q < nic_.numQueues(); ++q) {
-            remote_.send(nic_.port(), 64,
-                         static_cast<std::uint64_t>(q));
-        }
-    }
+    maybeStopServers();
+}
+
+void
+RedisOpenLoop::maybeStopServers()
+{
+    if (bed_.sim().now() < measureEnd_ || inFlight_ > 0 || stopSent_)
+        return;
+    // Load is off and the last response is in: poison every queue so
+    // the server threads shut their vCPUs down and the testbed can
+    // quiesce.
+    stopSent_ = true;
+    for (int q = 0; q < nic_.numQueues(); ++q)
+        remote_.send(nic_.port(), 64, static_cast<std::uint64_t>(q));
 }
 
 sim::Proc<void>

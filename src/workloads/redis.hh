@@ -158,6 +158,9 @@ class RedisOpenLoop
     void scheduleNextArrival();
     void sendOne();
     void onClientRx(const vmm::Packet& pkt);
+    /** Poison every queue once the load is off and nothing is in
+     * flight (idempotent). */
+    void maybeStopServers();
     std::uint64_t requestBytes() const;
     std::uint64_t responseBytes() const;
     Tick serviceTime() const;

@@ -1,17 +1,21 @@
 /**
  * @file
  * Integration tests for the KVM/VMM layer: shared-core VMs end to end,
- * virtio and SR-IOV data paths, virtual IPIs, and shared-core CVMs.
+ * virtio and SR-IOV data paths, virtual IPIs, shared-core CVMs, and
+ * guest power-off (PSCI CPU_OFF vs SYSTEM_OFF) under every runner.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/simulation.hh"
 #include "vmm/kvm.hh"
 #include "vmm/sriov.hh"
 #include "vmm/virtio.hh"
+#include "workloads/testbed.hh"
 
 namespace hw = cg::hw;
 namespace sim = cg::sim;
@@ -334,3 +338,147 @@ TEST_F(KvmFixture, CvmPageFaultsPopulateRtt)
     // 64 boot pages + 10 faulted pages.
     EXPECT_EQ(r->rtt.mappedPages(), 74u);
 }
+
+// ------------------------------------------------- guest power-off (PSCI)
+
+namespace {
+
+using cg::workloads::RunMode;
+using cg::workloads::Testbed;
+using cg::workloads::VmInstance;
+
+/** What a task saw just before it called shutdown(). */
+struct ShutdownMark {
+    Tick at = 0;
+    std::vector<std::uint64_t> ticks;
+    std::vector<bool> stopped;
+};
+
+Proc<void>
+computeMarkAndShutdown(Testbed& bed, VmInstance& vm, int idx, Tick work,
+                       ShutdownMark& mark)
+{
+    co_await bed.started().wait();
+    co_await Compute{work};
+    mark.at = bed.sim().now();
+    for (int i = 0; i < vm.numVcpus(); ++i) {
+        mark.ticks.push_back(vm.vcpu(i).ticksHandled.value());
+        mark.stopped.push_back(vm.vcpu(i).stopped());
+    }
+    co_await vm.vcpu(idx).shutdown();
+}
+
+class PowerOff : public ::testing::TestWithParam<RunMode>
+{
+  protected:
+    PowerOff()
+    {
+        Testbed::Config cfg;
+        cfg.numCores = 8;
+        cfg.mode = GetParam();
+        bed = std::make_unique<Testbed>(cfg);
+        // Four ticking vCPUs in every mode (a gapped VM's host core
+        // counts as one of its physical cores).
+        vm = &bed->createVm("po",
+                             cg::workloads::isGapped(GetParam()) ? 5 : 4);
+    }
+
+    std::unique_ptr<Testbed> bed;
+    VmInstance* vm = nullptr;
+};
+
+} // namespace
+
+TEST_P(PowerOff, LastTaskPowersOffEveryVcpu)
+{
+    ASSERT_EQ(vm->numVcpus(), 4);
+    ShutdownMark mark;
+    vm->vcpu(0).startGuest(
+        "w", computeMarkAndShutdown(*bed, *vm, 0, 20 * msec, mark));
+    bed->spawnStart();
+    // Far below any bench's horizon: without the power-off the idle
+    // vCPUs' ticks would keep the queue busy until the limit.
+    bed->run(200 * msec);
+    ASSERT_GT(mark.at, 0u);
+    EXPECT_TRUE(vm->kvm->shutdownGate().isOpen());
+    EXPECT_TRUE(bed->sim().queue().empty());
+    for (int i = 0; i < vm->numVcpus(); ++i) {
+        VCpu& v = vm->vcpu(i);
+        EXPECT_TRUE(v.stopped()) << "vcpu" << i;
+        // The runner consumed the vCPU's Shutdown exit.
+        EXPECT_FALSE(v.hasPendingEvent()) << "vcpu" << i;
+        if (i == 0)
+            continue;
+        // The idle vCPUs were ticking, and stopped at the power-off.
+        EXPECT_GT(mark.ticks[static_cast<size_t>(i)], 0u) << "vcpu" << i;
+        EXPECT_EQ(v.ticksHandled.value(),
+                  mark.ticks[static_cast<size_t>(i)])
+            << "vcpu" << i;
+    }
+}
+
+TEST_P(PowerOff, AnotherTaskKeepsTheVmRunning)
+{
+    ShutdownMark first, second;
+    vm->vcpu(0).startGuest(
+        "short", computeMarkAndShutdown(*bed, *vm, 0, 10 * msec, first));
+    vm->vcpu(1).startGuest(
+        "long", computeMarkAndShutdown(*bed, *vm, 1, 60 * msec, second));
+    bed->spawnStart();
+    bed->run(500 * msec);
+    // The first shutdown stopped only its own vCPU (CPU_OFF): vCPU 1
+    // finished its task, and the idle vCPUs kept ticking meanwhile.
+    ASSERT_GT(first.at, 0u);
+    ASSERT_GT(second.at, first.at);
+    EXPECT_GE(second.at - first.at, 40 * msec);
+    EXPECT_TRUE(second.stopped[0]);
+    for (int i = 1; i < vm->numVcpus(); ++i)
+        EXPECT_FALSE(second.stopped[static_cast<size_t>(i)]) << i;
+    for (int i = 2; i < vm->numVcpus(); ++i) {
+        const auto idx = static_cast<size_t>(i);
+        EXPECT_GT(second.ticks[idx], first.ticks[idx] + 5) << i;
+    }
+    // The second, last task powered the VM off.
+    EXPECT_TRUE(vm->kvm->shutdownGate().isOpen());
+    EXPECT_TRUE(bed->sim().queue().empty());
+    for (int i = 0; i < vm->numVcpus(); ++i)
+        EXPECT_TRUE(vm->vcpu(i).stopped()) << i;
+}
+
+TEST_P(PowerOff, ParkedTaskNeverPowersOff)
+{
+    // Table 3's shape: the receiver idles forever on vCPU 1.
+    ShutdownMark mark;
+    vm->vcpu(0).startGuest(
+        "sender", computeMarkAndShutdown(*bed, *vm, 0, 10 * msec, mark));
+    vm->vcpu(1).startGuest("receiver", idleForever(vm->vcpu(1)));
+    bed->spawnStart();
+    const Tick horizon = 500 * msec;
+    bed->run(horizon);
+    ASSERT_GT(mark.at, 0u);
+    EXPECT_TRUE(vm->vcpu(0).stopped());
+    for (int i = 1; i < vm->numVcpus(); ++i)
+        EXPECT_FALSE(vm->vcpu(i).stopped()) << i;
+    EXPECT_FALSE(vm->kvm->shutdownGate().isOpen());
+    EXPECT_FALSE(bed->sim().queue().empty());
+    // Idle vCPUs tick all the way to the horizon (250 Hz).
+    const std::uint64_t tail_ticks = (horizon - mark.at) / (4 * msec);
+    for (int i = 2; i < vm->numVcpus(); ++i) {
+        EXPECT_GE(vm->vcpu(i).ticksHandled.value(),
+                  mark.ticks[static_cast<size_t>(i)] + tail_ticks - 2)
+            << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, PowerOff,
+    ::testing::Values(RunMode::SharedCore, RunMode::SharedCoreCvm,
+                      RunMode::CoreGapped, RunMode::CoreGappedBusyWait,
+                      RunMode::CoreGappedNoDelegation),
+    [](const ::testing::TestParamInfo<RunMode>& info) {
+        std::string n = cg::workloads::runModeName(info.param);
+        for (char& c : n)
+            if (c == '-')
+                c = '_';
+        return n;
+    });

@@ -125,5 +125,5 @@ TEST(RedisClosedLoopPin, FixedSeedGoldens)
                 r.throughputKrps, r.meanMs, r.p95Ms, r.p99Ms);
     EXPECT_EQ(r.completed, 4713u);
     EXPECT_NEAR(r.throughputKrps, 47.13, 1e-6);
-    EXPECT_NEAR(r.meanMs, 0.089829544, 1e-8);
+    EXPECT_NEAR(r.meanMs, 0.089829517, 1e-8);
 }
