@@ -62,8 +62,9 @@ eventQueueCancelChurn(benchmark::State& state)
 }
 BENCHMARK(eventQueueCancelChurn)->Arg(100000);
 
-/** Out-of-order scheduling: every push lands before the newest pending
- * entry, forcing the heap path instead of the sorted-run append. */
+/** Out-of-order bulk load: every push sorts before every pending
+ * entry. The first few shift into the sorted run's front; the rest find
+ * no consumed gap and a long suffix there, so they take the heap. */
 void
 eventQueueReverseChurn(benchmark::State& state)
 {
@@ -80,6 +81,61 @@ eventQueueReverseChurn(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(eventQueueReverseChurn)->Arg(100000);
+
+/**
+ * Steady churn shaped like the benches' measured queue traffic
+ * (DESIGN.md §6 item 3): 40 chains stay live and each event schedules
+ * its chain's successor — a quarter at zero delay, most of the rest a
+ * few ns out (93% of successors rank ≤ 1 among pending entries), and
+ * one in twenty 10-20 us out among the parked chains. Every fourth
+ * event also replaces a far-future guard event, as each KVM_RUN
+ * schedules a run event 3600 s ahead that its exit cancels.
+ */
+struct SteadyChurn {
+    sim::EventQueue q;
+    std::uint64_t rng;
+    std::int64_t budget;
+    std::uint64_t fired = 0;
+    sim::EventId guard = sim::invalidEventId;
+
+    void
+    fire()
+    {
+        if ((++fired & 3) == 0) {
+            q.cancel(guard);
+            guard = q.scheduleIn(3600 * sim::sec, [] {});
+        }
+        if (--budget < 0)
+            return;
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        const std::uint64_t r = rng >> 33;
+        const std::uint64_t kind = r % 20;
+        sim::Tick delay = 0; // kind < 5
+        if (kind == 19)
+            delay = (10000 + r / 20 % 10000) * sim::nsec;
+        else if (kind >= 5)
+            delay = (1 + r / 20 % 16) * sim::nsec;
+        q.scheduleIn(delay, [this] { fire(); });
+    }
+};
+
+void
+eventQueueSteadyChurn(benchmark::State& state)
+{
+    constexpr int chains = 40;
+    for (auto _ : state) {
+        SteadyChurn c{{}, static_cast<std::uint64_t>(state.range(0)),
+                      state.range(0) - chains};
+        for (int i = 0; i < chains; ++i) {
+            c.q.schedule(static_cast<sim::Tick>(i) * 500 * sim::nsec,
+                         [&c] { c.fire(); });
+        }
+        c.q.run();
+        benchmark::DoNotOptimize(c.fired);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(eventQueueSteadyChurn)->Arg(100000);
 
 /** The six per-core structure touches CoreUarch::run() performs on
  * every scheduling quantum, alternating domains as context switches

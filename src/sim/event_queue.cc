@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <new>
 #include <utility>
 
@@ -54,10 +55,14 @@ EventQueue::heapPopTop()
 {
     const Entry last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty())
+        heapSiftDown(0, last);
+}
+
+void
+EventQueue::heapSiftDown(std::size_t i, Entry e)
+{
     const std::size_t n = heap_.size();
-    if (n == 0)
-        return;
-    std::size_t i = 0;
     for (;;) {
         const std::size_t first = heapArity * i + 1;
         if (first >= n)
@@ -69,12 +74,65 @@ EventQueue::heapPopTop()
             if (heap_[c].before(heap_[best]))
                 best = c;
         }
-        if (!heap_[best].before(last))
+        if (!heap_[best].before(e))
             break;
         heap_[i] = heap_[best];
         i = best;
     }
-    heap_[i] = last;
+    heap_[i] = e;
+}
+
+void
+EventQueue::pushBeforeTail(const Entry& e)
+{
+    // e carries the newest seq, so it sorts after every entry with the
+    // same time: its place is just past the last entry at or before
+    // e.when.
+    const std::size_t size = sorted_.size();
+    const std::size_t window_end =
+        std::min(size, sortedHead_ + frontWindow);
+    std::size_t pos = sortedHead_;
+    while (pos < window_end && sorted_[pos].when <= e.when)
+        ++pos;
+    if (pos == window_end) {
+        heapPush(e); // ranks past the front window
+        return;
+    }
+    if (sortedHead_ > 0) {
+        // Slide the entries that sort before e down into the gap.
+        Entry* run = sorted_.data();
+        std::copy(run + sortedHead_, run + pos, run + sortedHead_ - 1);
+        --sortedHead_;
+        run[pos - 1] = e;
+    } else if (size - pos <= frontWindow) {
+        sorted_.insert(sorted_.begin() + static_cast<std::ptrdiff_t>(pos),
+                       e);
+    } else {
+        heapPush(e); // no gap, and the suffix is long
+    }
+}
+
+void
+EventQueue::dropStale()
+{
+    std::size_t kept = 0;
+    for (std::size_t i = sortedHead_; i < sorted_.size(); ++i) {
+        if (entryLive(sorted_[i]))
+            sorted_[kept++] = sorted_[i];
+    }
+    sorted_.resize(kept);
+    sortedHead_ = 0;
+
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [this](const Entry& e) {
+                                   return !entryLive(e);
+                               }),
+                heap_.end());
+    // Floyd's heapify: sift down every node that has a child.
+    for (std::size_t i = (heap_.size() + heapArity - 2) / heapArity;
+         i-- > 0;)
+        heapSiftDown(i, heap_[i]);
+    stale_ = 0;
 }
 
 EventId
@@ -105,6 +163,8 @@ EventQueue::cancel(EventId id)
     releaseSlot(idx);
     CG_ASSERT(live_ > 0, "cancel accounting underflow");
     --live_;
+    if (++stale_ > 2 * live_ + staleSlack)
+        dropStale();
     return true;
 }
 
@@ -113,10 +173,14 @@ EventQueue::peekMin()
 {
     // Drop stale (cancelled) entries from both candidate fronts.
     while (sortedHead_ < sorted_.size() &&
-           !entryLive(sorted_[sortedHead_]))
+           !entryLive(sorted_[sortedHead_])) {
         ++sortedHead_;
-    while (!heap_.empty() && !entryLive(heap_[0]))
+        --stale_;
+    }
+    while (!heap_.empty() && !entryLive(heap_[0])) {
         heapPopTop();
+        --stale_;
+    }
 
     const bool has_sorted = sortedHead_ < sorted_.size();
     const bool has_heap = !heap_.empty();
@@ -202,7 +266,8 @@ EventQueue::run(Tick limit)
         if (!top)
             break;
         if (top->when > limit) {
-            now_ = limit;
+            if (limit > now_)
+                now_ = limit;
             return now_;
         }
         const Entry e = *top;

@@ -26,20 +26,28 @@
  *    EventIds need no separate live flag and staleness checks read one
  *    dense uint32 array (gens_) instead of striding through the
  *    EventFn pool.
- *  - Ordering is two-tier. Pushes that sort at-or-after the newest
- *    pending entry — monotone timer chains, same-tick FIFO bursts,
- *    zero-delay wakes, bulk loads: the overwhelming majority — append
- *    O(1) to a sorted run consumed front-to-back. Only out-of-order
- *    arrivals go to a 4-ary min-heap (half the levels of a binary heap,
- *    cache-line-friendly sift). A pop takes whichever candidate is
- *    earlier, so events still execute in the exact (when, seq) total
- *    order: the split is invisible to simulated results.
+ *  - Ordering is two-tier, fitted to the measured push ranks (DESIGN.md
+ *    §6 item 3): nearly every new event lands among the earliest few
+ *    pending entries, while the newest entry is usually a far-future
+ *    guard. A sorted run, consumed front-to-back, takes pushes at or
+ *    after its tail in O(1) (bulk loads, monotone chains) and pushes
+ *    that fall within frontWindow entries of its unconsumed front,
+ *    sliding the few entries ahead of them down into the consumed gap
+ *    (or, with no gap, shifting a short suffix up). Everything else —
+ *    entries that rank deep in the pending set, large out-of-order
+ *    loads — goes to a 4-ary min-heap (half the levels of a binary
+ *    heap, cache-line-friendly sift). A pop takes whichever candidate
+ *    is earlier, so events still execute in the exact (when, seq)
+ *    total order: the split is invisible to simulated results.
  *  - Cancellation is O(1) generation invalidation: an EventId encodes its
  *    slot and the slot's generation at schedule time. Cancelling (or
- *    running) an event bumps the generation, so stale heap entries are
+ *    running) an event bumps the generation, so stale entries are
  *    skipped on pop and stale EventIds — including ids of events that
  *    already executed — fail to cancel, keeping pending() exact. No
- *    lazy-delete side table is needed.
+ *    lazy-delete side table is needed. cancel() counts the stale
+ *    entries it leaves behind and drops them from both tiers once they
+ *    outnumber live ones by a fixed margin, so the tiers' size tracks
+ *    pending(), not the cancel history.
  */
 
 #ifndef CG_SIM_EVENT_QUEUE_HH
@@ -181,6 +189,27 @@ class EventQueue
     /** Children per heap node (see file comment). */
     static constexpr std::size_t heapArity = 4;
 
+    /**
+     * How far past the sorted run's unconsumed front a push may land
+     * and still go into the run. Measured ranks of new entries among
+     * pending ones (DESIGN.md §6 item 3): kv-openloop ≤ 8 for 97.9% of
+     * pushes and ≤ 32 for 98.6%, blk-sync ≤ 32 for 97.8%, cvm-churn
+     * ≤ 4 for all. 32 entries admit nearly all of them while bounding
+     * the shift a push pays to 32 moves of a 24-byte entry.
+     */
+    static constexpr std::size_t frontWindow = 32;
+
+    /**
+     * cancel() drops stale (cancelled) entries from both tiers once
+     * they number more than 2·live + staleSlack. Without the bound
+     * kv-openloop's heap grew to 1198 entries (mean 252 at push) with
+     * at most 39 live, nearly all the rest cancelled 3600 s guest-run
+     * events. With it the tiers stay within a few times pending(), and
+     * each compaction, costing O(entries), is paid for by the more
+     * than 64 cancels since the last one.
+     */
+    static constexpr std::size_t staleSlack = 64;
+
     static EventId
     makeId(std::uint32_t slot, std::uint32_t gen)
     {
@@ -221,17 +250,27 @@ class EventQueue
             sortedHead_ = 0;
             sorted_.push_back(e);
         } else if (!e.before(sorted_.back())) {
-            sorted_.push_back(e); // monotone arrival: O(1) fast path
+            sorted_.push_back(e); // at or after the tail: O(1)
         } else {
-            heapPush(e); // out-of-order arrival
+            pushBeforeTail(e);
         }
         ++live_;
     }
+
+    /** Place @p e, which sorts before the run's tail: into the run's
+     * front window if it lands there, else into the heap. */
+    void pushBeforeTail(const Entry& e);
 
     void releaseSlot(std::uint32_t idx);
 
     void heapPush(Entry e);
     void heapPopTop();
+
+    /** Sift @p e down from hole @p i to its place in the heap. */
+    void heapSiftDown(std::size_t i, Entry e);
+
+    /** Remove every stale entry from both tiers (see staleSlack). */
+    void dropStale();
 
     bool entryLive(const Entry& e) const
     {
@@ -264,9 +303,13 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::size_t live_ = 0;
+    /** Stale entries still held in the run or the heap. */
+    std::size_t stale_ = 0;
     /**
-     * Append-only sorted run: ascending (when, seq), consumed from
-     * sortedHead_. The consumed prefix is compacted away periodically.
+     * Sorted run: ascending (when, seq), consumed from sortedHead_.
+     * Grows at its tail and, through the consumed gap before
+     * sortedHead_, at its front. The consumed prefix is compacted away
+     * periodically.
      */
     std::vector<Entry> sorted_;
     std::size_t sortedHead_ = 0;
@@ -274,6 +317,9 @@ class EventQueue
     std::vector<ChunkPtr> chunks_;
     std::vector<std::uint32_t> gens_; ///< per-slot; odd = occupied
     std::vector<std::uint32_t> freeSlots_;
+
+    /** Read-only view of the tiers for the queue's white-box tests. */
+    friend struct EventQueueInspector;
 };
 
 } // namespace cg::sim

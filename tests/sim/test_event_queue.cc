@@ -2,9 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+
+namespace cg::sim {
+
+/** Read-only view of EventQueue's two ordering tiers (a friend). */
+struct EventQueueInspector {
+    const EventQueue& q;
+
+    std::size_t runSize() const { return q.sorted_.size(); }
+    std::size_t runHead() const { return q.sortedHead_; }
+    std::size_t heapSize() const { return q.heap_.size(); }
+    std::uint64_t runTailSeq() const { return q.sorted_.back().seq; }
+    std::size_t staleCounted() const { return q.stale_; }
+
+    /** Entries still held in either tier whose event is not pending. */
+    std::size_t
+    staleHeld() const
+    {
+        std::size_t n = 0;
+        for (std::size_t i = q.sortedHead_; i < q.sorted_.size(); ++i)
+            n += q.entryLive(q.sorted_[i]) ? 0 : 1;
+        for (const auto& e : q.heap_)
+            n += q.entryLive(e) ? 0 : 1;
+        return n;
+    }
+};
+
+} // namespace cg::sim
 
 using namespace cg::sim;
 
@@ -254,6 +287,21 @@ TEST(EventQueue, RunLimitAdvancesNowWhenQueueDrainsEarly)
     EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, RunWithEarlierLimitNeverRewindsTime)
+{
+    EventQueue q;
+    bool ran = false;
+    q.schedule(100 * nsec, [&] { ran = true; });
+    q.run(50 * nsec);
+    EXPECT_EQ(q.now(), 50 * nsec);
+    q.run(20 * nsec); // an event is pending past both limits
+    EXPECT_EQ(q.now(), 50 * nsec);
+    q.step();
+    EXPECT_TRUE(ran);
+    q.run(20 * nsec); // drained
+    EXPECT_EQ(q.now(), 100 * nsec);
+}
+
 TEST(EventQueue, RunWithoutLimitLeavesNowAtLastEvent)
 {
     EventQueue q;
@@ -262,19 +310,20 @@ TEST(EventQueue, RunWithoutLimitLeavesNowAtLastEvent)
     EXPECT_EQ(q.now(), 7 * nsec);
 }
 
-// Out-of-order scheduling exercises the heap path; interleaved with
-// in-order (sorted-run) arrivals, the pop order must still be the
-// strict (when, insertion) total order.
+// Arrivals before the run's tail are inserted into its front (with no
+// consumed gap, by shifting the suffix up); interleaved with tail
+// appends, the pop order must still be the strict (when, insertion)
+// total order.
 TEST(EventQueue, TieBreakAcrossInOrderAndOutOfOrderArrivals)
 {
     EventQueue q;
     std::vector<int> order;
-    q.schedule(50 * nsec, [&] { order.push_back(0); }); // run
-    q.schedule(10 * nsec, [&] { order.push_back(1); }); // heap
-    q.schedule(50 * nsec, [&] { order.push_back(2); }); // run (tie w/ 0)
-    q.schedule(10 * nsec, [&] { order.push_back(3); }); // heap (tie w/ 1)
-    q.schedule(60 * nsec, [&] { order.push_back(4); }); // run
-    q.schedule(30 * nsec, [&] { order.push_back(5); }); // heap
+    q.schedule(50 * nsec, [&] { order.push_back(0); }); // starts the run
+    q.schedule(10 * nsec, [&] { order.push_back(1); }); // suffix shift
+    q.schedule(50 * nsec, [&] { order.push_back(2); }); // tail (tie w/ 0)
+    q.schedule(10 * nsec, [&] { order.push_back(3); }); // suffix (tie w/ 1)
+    q.schedule(60 * nsec, [&] { order.push_back(4); }); // tail
+    q.schedule(30 * nsec, [&] { order.push_back(5); }); // suffix shift
     q.run();
     EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 0, 2, 4}));
 }
@@ -302,4 +351,254 @@ TEST(EventQueue, DeterministicOrderUnderHeavyChurnWithCancels)
     const auto b = run_once();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.size(), 160u);
+}
+
+namespace {
+
+/** How often each placement path and the stale compaction ran, so a
+ * sequence that never reaches one cannot pass vacuously. */
+struct Paths {
+    std::size_t restarts = 0; ///< push into a fully consumed run
+    std::size_t tail = 0;     ///< append at or after a non-empty run's tail
+    std::size_t gap = 0;      ///< front window, through the consumed gap
+    std::size_t suffix = 0;   ///< front window, shifting the suffix up
+    std::size_t heap = 0;
+    std::size_t compactions = 0;
+    std::size_t heapCompactions = 0; ///< compactions that shrank the heap
+};
+
+/**
+ * Drives one EventQueue with a seeded random mix of schedules, cancels,
+ * run(limit) and step(), from the top level and from inside callbacks,
+ * and checks it after every operation against a std::set of pending
+ * (when, seq) pairs: execution order, now(), pending() and every
+ * cancel() result.
+ */
+class ReferenceModel
+{
+  public:
+    explicit ReferenceModel(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    run(std::size_t ops)
+    {
+        for (std::size_t i = 0; i < ops && !::testing::Test::HasFailure();
+             ++i) {
+            topLevelOp();
+            check();
+        }
+        q_.run();
+        check();
+        EXPECT_TRUE(ref_.empty());
+    }
+
+    const Paths& paths() const { return paths_; }
+    std::size_t executed() const { return executed_; }
+
+  private:
+    std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+
+    Tick
+    randomDelay()
+    {
+        const std::uint64_t r = draw(100);
+        if (r < 25)
+            return 0;
+        if (r < 60)
+            return 1 + draw(50); // a few ns: among the next few events
+        if (r < 99)
+            return (1 + draw(100)) * usec; // timers
+        return 3600 * sec;
+    }
+
+    void
+    schedule(Tick delay)
+    {
+        const Tick when = q_.now() + delay;
+        const std::uint64_t seq = whenOf_.size();
+        const EventQueueInspector in{q_};
+        const std::size_t size = in.runSize();
+        const std::size_t head = in.runHead();
+        const std::size_t heap = in.heapSize();
+        ids_.push_back(q_.schedule(when, [this, seq] { onRun(seq); }));
+        whenOf_.push_back(when);
+        ref_.insert({when, seq});
+
+        if (in.heapSize() == heap + 1)
+            ++paths_.heap;
+        else if (head == size)
+            ++paths_.restarts;
+        else if (in.runHead() + 1 == head)
+            ++paths_.gap;
+        else if (in.runTailSeq() == seq)
+            ++paths_.tail;
+        else
+            ++paths_.suffix;
+    }
+
+    /** Cancel any id ever issued: pending, already run, or already
+     * cancelled. Half the picks are among the 64 newest, which are
+     * mostly still pending. */
+    void
+    cancelRandom()
+    {
+        const std::uint64_t n = whenOf_.size();
+        if (n == 0)
+            return;
+        cancel(draw(2) ? n - 1 - draw(std::min<std::uint64_t>(n, 64))
+                       : draw(n));
+    }
+
+    void
+    cancel(std::uint64_t seq)
+    {
+        const auto key = std::make_pair(whenOf_[seq], seq);
+        const bool expect = ref_.count(key) != 0;
+        const EventQueueInspector in{q_};
+        const std::size_t stale = in.staleCounted();
+        const std::size_t heap = in.heapSize();
+        EXPECT_EQ(q_.cancel(ids_[seq]), expect) << "seq " << seq;
+        if (!expect)
+            return;
+        ref_.erase(key);
+        if (in.staleCounted() < stale + 1) {
+            ++paths_.compactions;
+            if (in.heapSize() < heap)
+                ++paths_.heapCompactions;
+        }
+        EXPECT_LE(in.staleHeld(), 2 * q_.pending() + 64);
+    }
+
+    /** Like KVM_RUN: a far-future guard event, cancelled by the next. */
+    void
+    guestRun()
+    {
+        if (guard_ && ref_.count({whenOf_[*guard_], *guard_}))
+            cancel(*guard_);
+        guard_ = whenOf_.size();
+        schedule(3600 * sec);
+    }
+
+    void
+    onRun(std::uint64_t seq)
+    {
+        ++executed_;
+        const auto key = std::make_pair(whenOf_[seq], seq);
+        if (ref_.empty() || *ref_.begin() != key) {
+            ADD_FAILURE() << "ran seq " << seq << " at " << whenOf_[seq]
+                          << " out of (when, seq) order";
+        }
+        EXPECT_EQ(q_.now(), whenOf_[seq]);
+        ref_.erase(key);
+        now_ = whenOf_[seq];
+
+        const std::uint64_t r = draw(8);
+        if (r < 4) {
+            schedule(randomDelay());
+        } else if (r == 4) {
+            schedule(randomDelay());
+            schedule(randomDelay());
+        } else if (r == 5) {
+            cancelRandom();
+        } else if (r == 6) {
+            cancelRandom();
+            schedule(randomDelay());
+        }
+        check();
+    }
+
+    void
+    topLevelOp()
+    {
+        const std::uint64_t r = draw(100);
+        if (r < 35) {
+            schedule(randomDelay());
+        } else if (r < 50) {
+            guestRun();
+        } else if (r < 52) {
+            // A burst of timers: past the front window, they take the
+            // heap. The next burst cancels what is left of this one.
+            for (std::uint64_t seq : burst_) {
+                if (ref_.count({whenOf_[seq], seq}))
+                    cancel(seq);
+            }
+            burst_.clear();
+            for (int i = 0; i < 48; ++i) {
+                burst_.push_back(whenOf_.size());
+                schedule((1 + draw(100)) * usec);
+            }
+        } else if (r < 64) {
+            cancelRandom();
+        } else if (r < 84) {
+            runTo(randomLimit());
+        } else if (r < 99 || draw(10) != 0) {
+            const bool expect = !ref_.empty();
+            EXPECT_EQ(q_.step(), expect);
+        } else {
+            runTo(maxTick);
+        }
+    }
+
+    Tick
+    randomLimit()
+    {
+        const Tick now = q_.now();
+        if (draw(5) == 0)
+            return now - std::min<Tick>(now, draw(100)); // not after now
+        return now + (draw(2) ? draw(60) : draw(150) * usec);
+    }
+
+    void
+    runTo(Tick limit)
+    {
+        q_.run(limit);
+        if (limit != maxTick && limit > now_)
+            now_ = limit;
+        if (!ref_.empty()) {
+            EXPECT_GT(ref_.begin()->first, limit);
+        }
+    }
+
+    void
+    check()
+    {
+        EXPECT_EQ(q_.now(), now_);
+        EXPECT_EQ(q_.pending(), ref_.size());
+        EXPECT_EQ(q_.empty(), ref_.empty());
+        const EventQueueInspector in{q_};
+        EXPECT_EQ(in.staleCounted(), in.staleHeld());
+    }
+
+    EventQueue q_;
+    std::mt19937_64 rng_;
+    std::set<std::pair<Tick, std::uint64_t>> ref_; ///< pending (when, seq)
+    std::vector<EventId> ids_; ///< by seq, every id ever issued
+    std::vector<Tick> whenOf_; ///< by seq
+    Tick now_ = 0;
+    std::optional<std::uint64_t> guard_;
+    std::vector<std::uint64_t> burst_;
+    Paths paths_;
+    std::size_t executed_ = 0;
+};
+
+} // namespace
+
+TEST(EventQueueProperty, MatchesReferenceModel)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        ReferenceModel m(seed);
+        m.run(20000);
+        if (::testing::Test::HasFailure())
+            break;
+        EXPECT_GT(m.executed(), 20000u);
+        const Paths& p = m.paths();
+        EXPECT_GT(p.restarts, 0u);
+        EXPECT_GT(p.tail, 0u);
+        EXPECT_GT(p.gap, 0u);
+        EXPECT_GT(p.suffix, 0u);
+        EXPECT_GT(p.heap, 0u);
+        EXPECT_GT(p.compactions, 0u);
+        EXPECT_GT(p.heapCompactions, 0u);
+    }
 }
