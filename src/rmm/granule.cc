@@ -1,5 +1,7 @@
 #include "rmm/granule.hh"
 
+#include <algorithm>
+
 namespace cg::rmm {
 
 const char*
@@ -46,19 +48,48 @@ rmiStatusName(RmiStatus s)
     return "?";
 }
 
+GranuleTracker::Block*
+GranuleTracker::blockOf(std::uint64_t key, std::size_t& pos) const
+{
+    const auto it = std::lower_bound(
+        dir_.begin(), dir_.end(), key,
+        [](const auto& d, std::uint64_t k) { return d.first < k; });
+    pos = static_cast<std::size_t>(it - dir_.begin());
+    return it != dir_.end() && it->first == key ? it->second.get()
+                                                : nullptr;
+}
+
+const GranuleTracker::Entry*
+GranuleTracker::find(PhysAddr addr) const
+{
+    // Only aligned addresses are ever tracked; an unaligned one would
+    // otherwise alias the entry of the granule containing it.
+    if (!granuleAligned(addr))
+        return nullptr;
+    std::size_t pos = 0;
+    const Block* b = blockOf(keyOf(addr), pos);
+    return b ? &b->entries[slotOf(addr)] : nullptr;
+}
+
+GranuleTracker::Entry*
+GranuleTracker::find(PhysAddr addr)
+{
+    return const_cast<Entry*>(
+        static_cast<const GranuleTracker*>(this)->find(addr));
+}
+
 GranuleState
 GranuleTracker::stateOf(PhysAddr addr) const
 {
-    auto it = entries_.find(addr);
-    return it == entries_.end() ? GranuleState::Undelegated
-                                : it->second.state;
+    const Entry* e = find(addr);
+    return e ? e->state : GranuleState::Undelegated;
 }
 
 int
 GranuleTracker::ownerOf(PhysAddr addr) const
 {
-    auto it = entries_.find(addr);
-    return it == entries_.end() ? -1 : it->second.owner;
+    const Entry* e = find(addr);
+    return e ? e->owner : -1;
 }
 
 RmiStatus
@@ -66,9 +97,19 @@ GranuleTracker::delegate(PhysAddr addr)
 {
     if (!granuleAligned(addr))
         return RmiStatus::BadAddress;
-    if (stateOf(addr) != GranuleState::Undelegated)
+    const std::uint64_t key = keyOf(addr);
+    std::size_t pos = 0;
+    Block* b = blockOf(key, pos);
+    if (!b) {
+        b = dir_.emplace(dir_.begin() + static_cast<std::ptrdiff_t>(pos),
+                         key, std::make_unique<Block>())
+                ->second.get();
+    }
+    Entry& e = b->entries[slotOf(addr)];
+    if (e.state != GranuleState::Undelegated)
         return RmiStatus::BadState;
-    entries_[addr] = Entry{GranuleState::Delegated, -1};
+    e = Entry{GranuleState::Delegated, -1};
+    ++b->tracked;
     return RmiStatus::Success;
 }
 
@@ -77,12 +118,13 @@ GranuleTracker::undelegate(PhysAddr addr)
 {
     if (!granuleAligned(addr))
         return RmiStatus::BadAddress;
-    auto it = entries_.find(addr);
-    if (it == entries_.end() ||
-        it->second.state != GranuleState::Delegated) {
+    std::size_t pos = 0;
+    Block* b = blockOf(keyOf(addr), pos);
+    if (!b || b->entries[slotOf(addr)].state != GranuleState::Delegated)
         return RmiStatus::BadState;
-    }
-    entries_.erase(it);
+    b->entries[slotOf(addr)] = Entry{};
+    if (--b->tracked == 0) // nothing left to track: drop the block
+        dir_.erase(dir_.begin() + static_cast<std::ptrdiff_t>(pos));
     return RmiStatus::Success;
 }
 
@@ -93,29 +135,27 @@ GranuleTracker::assign(PhysAddr addr, GranuleState to, int realm)
         return RmiStatus::BadAddress;
     if (to == GranuleState::Undelegated || to == GranuleState::Delegated)
         return RmiStatus::BadArgs;
-    auto it = entries_.find(addr);
-    if (it == entries_.end() ||
-        it->second.state != GranuleState::Delegated) {
+    Entry* e = find(addr);
+    if (!e || e->state != GranuleState::Delegated)
         return RmiStatus::BadState;
-    }
-    it->second = Entry{to, realm};
-    owned_[realm].insert(addr);
+    *e = Entry{to, realm};
+    std::vector<PhysAddr>& v = owned_[realm];
+    v.insert(std::lower_bound(v.begin(), v.end(), addr), addr);
     return RmiStatus::Success;
 }
 
 RmiStatus
 GranuleTracker::release(PhysAddr addr, GranuleState from, int realm)
 {
-    auto it = entries_.find(addr);
-    if (it == entries_.end() || it->second.state != from ||
-        it->second.owner != realm) {
+    Entry* e = find(addr);
+    if (!e || e->state != from || e->owner != realm)
         return RmiStatus::BadState;
-    }
     // The RMM scrubs contents before returning a granule to Delegated.
-    it->second = Entry{GranuleState::Delegated, -1};
+    *e = Entry{GranuleState::Delegated, -1};
     auto idx = owned_.find(realm);
-    idx->second.erase(addr);
-    if (idx->second.empty())
+    std::vector<PhysAddr>& v = idx->second;
+    v.erase(std::lower_bound(v.begin(), v.end(), addr));
+    if (v.empty())
         owned_.erase(idx);
     return RmiStatus::Success;
 }
@@ -127,7 +167,7 @@ GranuleTracker::releaseOwned(int realm)
     if (idx == owned_.end())
         return;
     for (PhysAddr addr : idx->second)
-        entries_.find(addr)->second = Entry{GranuleState::Delegated, -1};
+        *find(addr) = Entry{GranuleState::Delegated, -1};
     owned_.erase(idx);
 }
 
@@ -140,7 +180,7 @@ GranuleTracker::owned(int realm) const
         return out;
     out.reserve(idx->second.size());
     for (PhysAddr addr : idx->second)
-        out.emplace_back(addr, entries_.find(addr)->second.state);
+        out.emplace_back(addr, find(addr)->state);
     return out;
 }
 
@@ -159,8 +199,10 @@ GranuleTracker::countInState(GranuleState s) const
     if (s == GranuleState::Undelegated)
         return 0; // untracked; infinite in principle
     std::size_t n = 0;
-    for (const auto& [addr, e] : entries_)
-        n += e.state == s ? 1 : 0;
+    for (const auto& [key, block] : dir_) {
+        for (const Entry& e : block->entries)
+            n += e.state == s ? 1 : 0;
+    }
     return n;
 }
 

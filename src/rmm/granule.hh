@@ -14,9 +14,10 @@
 #ifndef CG_RMM_GRANULE_HH
 #define CG_RMM_GRANULE_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <set>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -63,12 +64,18 @@ const char* rmiStatusName(RmiStatus s);
 /**
  * Tracks the state and owner of every delegated granule.
  *
- * Besides the address-ordered table of every tracked granule, the
- * tracker keeps a per-realm index of the granules each realm owns, so
- * owned() and releaseOwned() cost O(granules the realm owns) rather
- * than O(granules ever tracked). Realm teardown leaves its granules
- * Delegated in the table (nothing undelegates them), so the table
- * grows with every realm a testbed has held; the index does not.
+ * The table is a set of fixed blocks, each covering blockGranules
+ * contiguous granules, found by binary search of a directory kept
+ * sorted by block key (the address's granule number >> blockShift).
+ * A block lives while it holds at least one tracked (not Undelegated)
+ * granule. Beside the table, a per-realm index lists the granules each
+ * realm owns, ascending, so owned() and releaseOwned() cost
+ * O(granules the realm owns) rather than O(granules ever tracked).
+ * Realm teardown leaves its granules Delegated in the table (nothing
+ * undelegates them), so the table grows with every realm a testbed
+ * has held. Those leftovers cost their blocks' bytes, and one step of
+ * a lookup's binary search per doubling of the directory. The index
+ * does not grow.
  */
 class GranuleTracker
 {
@@ -110,10 +117,57 @@ class GranuleTracker
         int owner = -1;
     };
 
-    std::map<PhysAddr, Entry> entries_;
-    /** Realm id -> addresses it owns, ascending; an index over
-     * entries_ kept in step by assign, release and releaseOwned. */
-    std::map<int, std::set<PhysAddr>> owned_;
+    /**
+     * log2 of the granules per block, sized from cvm-churn's measured
+     * layout. A realm holds about 80 granules; a testbed ends with
+     * about 16.1k tracked entries, nearly all Delegated leftovers of
+     * destroyed realms. 64-granule blocks hold them in about 455
+     * blocks, and the perfbench driver's peak RSS on cvm-churn is
+     * 6.4 MB (7.9 MB with one tree node per entry). 512-granule blocks
+     * need only about 255, mostly empty, and it rises to 7.3 MB.
+     */
+    static constexpr int blockShift = 6;
+    static constexpr std::size_t blockGranules = std::size_t{1}
+                                                 << blockShift;
+    static constexpr int granuleShift = 12;
+    static_assert(granuleSize == std::uint64_t{1} << granuleShift);
+
+    static constexpr std::uint64_t
+    keyOf(PhysAddr addr)
+    {
+        return addr >> (granuleShift + blockShift);
+    }
+
+    static constexpr std::size_t
+    slotOf(PhysAddr addr)
+    {
+        return (addr >> granuleShift) & (blockGranules - 1);
+    }
+
+    struct Block {
+        std::array<Entry, blockGranules> entries{};
+        /** Entries not Undelegated; the block goes at zero. */
+        std::size_t tracked = 0;
+    };
+
+    /** The block of key @p key, or nullptr if absent. @p pos receives
+     * the position of the first directory entry not below @p key: the
+     * block's own, or where to insert it. */
+    Block* blockOf(std::uint64_t key, std::size_t& pos) const;
+    /** The entry of @p addr, or nullptr when @p addr is unaligned or
+     * its block is absent (both read as Undelegated). */
+    const Entry* find(PhysAddr addr) const;
+    Entry* find(PhysAddr addr);
+
+    /** Block key -> block, ascending by key. */
+    std::vector<std::pair<std::uint64_t, std::unique_ptr<Block>>> dir_;
+    /** Realm id -> addresses it owns, ascending; an index over the
+     * table kept in step by assign, release and releaseOwned. */
+    std::map<int, std::vector<PhysAddr>> owned_;
+
+    /** Read-only view of the blocks for the tracker's white-box
+     * tests. */
+    friend struct GranuleTrackerInspector;
 };
 
 } // namespace cg::rmm

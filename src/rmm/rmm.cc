@@ -149,6 +149,8 @@ Rmm::rttCreate(int realm_id, Ipa ipa, int level, PhysAddr table)
     Realm* r = realm(realm_id);
     if (!r)
         return RmiStatus::BadState;
+    if (r->mig.phase != MigrationPhase::Idle)
+        return RmiStatus::Busy; // the granule set is being copied
     RmiStatus s = granules_.assign(table, GranuleState::Rtt, realm_id);
     if (s != RmiStatus::Success)
         return s;
@@ -188,6 +190,8 @@ Rmm::dataCreateUnknown(int realm_id, Ipa ipa, PhysAddr data)
     Realm* r = realm(realm_id);
     if (!r || r->state != RealmState::Active)
         return RmiStatus::BadState;
+    if (r->mig.phase != MigrationPhase::Idle)
+        return RmiStatus::Busy; // the granule set is being copied
     RmiStatus s = granules_.assign(data, GranuleState::Data, realm_id);
     if (s != RmiStatus::Success)
         return s;
@@ -206,6 +210,8 @@ Rmm::dataDestroy(int realm_id, Ipa ipa)
     Realm* r = realm(realm_id);
     if (!r)
         return RmiStatus::BadState;
+    if (r->mig.phase != MigrationPhase::Idle)
+        return RmiStatus::Busy; // the granule set is being copied
     auto pa = r->rtt.translate(ipa);
     if (!pa)
         return RmiStatus::BadState;
@@ -563,14 +569,18 @@ Rmm::migrateCommit(int realm_id)
     }
     // Rewrite every granule reference to the destination window, then
     // release (scrub) the source granules back to Delegated.
-    std::map<PhysAddr, PhysAddr> reloc;
+    // srcGranules ascends (owned() order), so the pairs come out in
+    // the ascending order Relocation requires.
+    Relocation reloc;
+    reloc.reserve(m.srcGranules.size());
     for (std::size_t i = 0; i < m.srcGranules.size(); ++i)
-        reloc[m.srcGranules[i].first] = m.destBase + i * granuleSize;
-    if (auto it = reloc.find(r->rdGranule); it != reloc.end())
-        r->rdGranule = it->second;
+        reloc.emplace_back(m.srcGranules[i].first,
+                           m.destBase + i * granuleSize);
+    if (auto to = relocated(reloc, r->rdGranule))
+        r->rdGranule = *to;
     for (Rec& rec : r->recs) {
-        if (auto it = reloc.find(rec.granule); it != reloc.end())
-            rec.granule = it->second;
+        if (auto to = relocated(reloc, rec.granule))
+            rec.granule = *to;
     }
     r->rtt.relocate(reloc);
     for (const auto& [src, state] : m.srcGranules)

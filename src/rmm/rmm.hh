@@ -54,8 +54,10 @@ enum class RecState { Ready, Running, Stopped, Destroyed };
 /**
  * Live-migration phases of one realm (DESIGN.md section 12). Idle ->
  * Prepared -> Copying -> Copied -> (commit | abort) -> Idle. While the
- * phase is not Idle every other lifecycle RMI on the realm bounces
- * with Busy, so a migration can never interleave with enter/destroy.
+ * phase is not Idle every other lifecycle RMI on the realm, and every
+ * RMI that adds or drops one of its granules, bounces with Busy, so a
+ * migration can never interleave with enter/destroy or change the
+ * granule set prepare snapshotted.
  */
 enum class MigrationPhase { Idle, Prepared, Copying, Copied };
 

@@ -1,6 +1,40 @@
 #include "rmm/rtt.hh"
 
+#include <algorithm>
+
 namespace cg::rmm {
+
+namespace {
+
+/** First entry of the index-sorted @p v not below @p key. */
+template <typename Vec>
+auto
+seek(Vec& v, std::uint64_t key)
+{
+    return std::lower_bound(
+        v.begin(), v.end(), key,
+        [](const auto& e, std::uint64_t k) { return e.first < k; });
+}
+
+/** The entry of the index-sorted @p v at @p key, or v.end(). */
+template <typename Vec>
+auto
+lookup(Vec& v, std::uint64_t key)
+{
+    auto it = seek(v, key);
+    return it != v.end() && it->first == key ? it : v.end();
+}
+
+} // namespace
+
+std::optional<PhysAddr>
+relocated(const Relocation& reloc, PhysAddr pa)
+{
+    auto it = lookup(reloc, pa);
+    if (it == reloc.end())
+        return std::nullopt;
+    return it->second;
+}
 
 Rtt::Rtt() = default;
 
@@ -9,7 +43,7 @@ Rtt::walk(Ipa ipa, int to_level) const
 {
     const Node* n = &root_;
     for (int level = rttStartLevel; level < to_level; ++level) {
-        auto it = n->children.find(rttIndex(ipa, level));
+        auto it = lookup(n->children, rttIndex(ipa, level));
         if (it == n->children.end())
             return nullptr;
         n = it->second.get();
@@ -35,11 +69,12 @@ Rtt::createTable(Ipa ipa, int level, PhysAddr table_granule)
     if (!parent)
         return RmiStatus::NoMemory;
     const std::uint64_t idx = rttIndex(ipa, level - 1);
-    if (parent->children.count(idx))
+    auto it = seek(parent->children, idx);
+    if (it != parent->children.end() && it->first == idx)
         return RmiStatus::BadState;
     auto node = std::make_unique<Node>();
     node->granule = table_granule;
-    parent->children[idx] = std::move(node);
+    parent->children.emplace(it, idx, std::move(node));
     ++tables_;
     return RmiStatus::Success;
 }
@@ -53,9 +88,10 @@ Rtt::mapPage(Ipa ipa, PhysAddr pa)
     if (!leaf_table)
         return RmiStatus::NoMemory;
     const std::uint64_t idx = rttIndex(ipa, rttLeafLevel);
-    if (leaf_table->leaves.count(idx))
+    auto it = seek(leaf_table->leaves, idx);
+    if (it != leaf_table->leaves.end() && it->first == idx)
         return RmiStatus::BadState;
-    leaf_table->leaves[idx] = pa;
+    leaf_table->leaves.emplace(it, idx, pa);
     ++mapped_;
     return RmiStatus::Success;
 }
@@ -66,7 +102,7 @@ Rtt::unmapPage(Ipa ipa)
     Node* leaf_table = walk(ipa, rttLeafLevel);
     if (!leaf_table)
         return RmiStatus::NoMemory;
-    auto it = leaf_table->leaves.find(rttIndex(ipa, rttLeafLevel));
+    auto it = lookup(leaf_table->leaves, rttIndex(ipa, rttLeafLevel));
     if (it == leaf_table->leaves.end())
         return RmiStatus::BadState;
     leaf_table->leaves.erase(it);
@@ -80,7 +116,7 @@ Rtt::translate(Ipa ipa) const
     const Node* leaf_table = walk(ipa, rttLeafLevel);
     if (!leaf_table)
         return std::nullopt;
-    auto it = leaf_table->leaves.find(rttIndex(ipa, rttLeafLevel));
+    auto it = lookup(leaf_table->leaves, rttIndex(ipa, rttLeafLevel));
     if (it == leaf_table->leaves.end())
         return std::nullopt;
     return it->second | (ipa & (granuleSize - 1));
@@ -93,32 +129,30 @@ Rtt::tablesComplete(Ipa ipa) const
 }
 
 std::size_t
-Rtt::relocateNode(Node& n, const std::map<PhysAddr, PhysAddr>& map)
+Rtt::relocateNode(Node& n, const Relocation& reloc)
 {
     std::size_t rewrites = 0;
     if (n.granule != 0) {
-        auto it = map.find(n.granule);
-        if (it != map.end()) {
-            n.granule = it->second;
+        if (auto to = relocated(reloc, n.granule)) {
+            n.granule = *to;
             ++rewrites;
         }
     }
     for (auto& [idx, pa] : n.leaves) {
-        auto it = map.find(pa);
-        if (it != map.end()) {
-            pa = it->second;
+        if (auto to = relocated(reloc, pa)) {
+            pa = *to;
             ++rewrites;
         }
     }
     for (auto& [idx, child] : n.children)
-        rewrites += relocateNode(*child, map);
+        rewrites += relocateNode(*child, reloc);
     return rewrites;
 }
 
 std::size_t
-Rtt::relocate(const std::map<PhysAddr, PhysAddr>& map)
+Rtt::relocate(const Relocation& reloc)
 {
-    return relocateNode(root_, map);
+    return relocateNode(root_, reloc);
 }
 
 int
@@ -126,12 +160,12 @@ Rtt::walkLevel(Ipa ipa) const
 {
     const Node* n = &root_;
     for (int level = rttStartLevel; level < rttLeafLevel; ++level) {
-        auto it = n->children.find(rttIndex(ipa, level));
+        auto it = lookup(n->children, rttIndex(ipa, level));
         if (it == n->children.end())
             return level + 1;
         n = it->second.get();
     }
-    if (n->leaves.count(rttIndex(ipa, rttLeafLevel)))
+    if (lookup(n->leaves, rttIndex(ipa, rttLeafLevel)) != n->leaves.end())
         return rttLeafLevel + 1;
     return rttLeafLevel;
 }

@@ -8,15 +8,18 @@
  * level (4 KiB pages, 48-bit IPA space). Table granules at levels 1-3
  * must be created explicitly (RMI_RTT_CREATE), as in the real interface,
  * so the host's fault-handling RMI traffic is faithfully reproduced.
+ * Each table keeps only its populated entries, as vectors sorted by
+ * index.
  */
 
 #ifndef CG_RMM_RTT_HH
 #define CG_RMM_RTT_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "rmm/granule.hh"
 
@@ -37,6 +40,12 @@ rttIndex(Ipa ipa, int level)
     const int shift = rttPageShift + rttLevelBits * (rttLeafLevel - level);
     return (ipa >> shift) & ((1ULL << rttLevelBits) - 1);
 }
+
+/** Physical-address rewrites (old, new), ascending by old address. */
+using Relocation = std::vector<std::pair<PhysAddr, PhysAddr>>;
+
+/** Where @p reloc moves @p pa; nullopt if it does not move it. */
+std::optional<PhysAddr> relocated(const Relocation& reloc, PhysAddr pa);
 
 class Rtt
 {
@@ -80,23 +89,25 @@ class Rtt
 
     /**
      * Rewrite every table granule and leaf page address through
-     * @p map (old physical address -> new), the final step of a
-     * committed realm migration. Addresses absent from the map are
-     * left untouched. @return the number of rewrites applied.
+     * @p reloc, the final step of a committed realm migration.
+     * Addresses @p reloc does not list are left untouched. @return
+     * the number of rewrites applied.
      */
-    std::size_t relocate(const std::map<PhysAddr, PhysAddr>& map);
+    std::size_t relocate(const Relocation& reloc);
 
   private:
     struct Node {
         PhysAddr granule = 0;
-        std::map<std::uint64_t, std::unique_ptr<Node>> children;
-        std::map<std::uint64_t, PhysAddr> leaves; // level 3 only
+        /** Next-level tables, ascending by index. */
+        std::vector<std::pair<std::uint64_t, std::unique_ptr<Node>>>
+            children;
+        /** Leaf pages (level 3 only), ascending by index. */
+        std::vector<std::pair<std::uint64_t, PhysAddr>> leaves;
     };
 
     const Node* walk(Ipa ipa, int to_level) const;
     Node* walk(Ipa ipa, int to_level);
-    static std::size_t relocateNode(Node& n,
-                                    const std::map<PhysAddr, PhysAddr>& map);
+    static std::size_t relocateNode(Node& n, const Relocation& reloc);
 
     Node root_;
     std::size_t mapped_ = 0;

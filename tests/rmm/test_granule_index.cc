@@ -1,34 +1,83 @@
 /**
  * @file
- * Property test pinning GranuleTracker's per-realm ownership index to
- * the linear-scan tracker it replaced.
+ * Property test pinning GranuleTracker -- its block table and its
+ * per-realm ownership index -- to the linear-scan tracker it replaced.
  *
- * owned() and releaseOwned() used to walk every granule the tracker
- * had ever seen; they now visit only the realm's entry in an index
- * that assign, release and releaseOwned keep in step with the granule
- * table. ReferenceTracker below is the scan-based tracker verbatim
- * (a plain std::map plus scans). The test drives both through seeded
- * random sequences (via sim::Rng, so failures replay) of delegate,
- * undelegate, assign, release and releaseOwned over five realms,
- * including illegal calls, migration-style copies into a destination
- * window that either commit or roll back, and granules a second realm
- * takes over after the first gave them back to the host. After every
- * call it compares the status and every observable: stateOf, ownerOf
- * and hostAccessible for every address, countInState for every state,
- * and owned() for every realm. Dropping the index update from any one
+ * The tracker keeps granules in fixed blocks found by binary search of
+ * a sorted directory, and lists each realm's granules in an index that
+ * assign, release and releaseOwned keep in step with the table. ReferenceTracker below is the
+ * scan-based tracker verbatim (a plain std::map plus scans). The test
+ * drives both through seeded random sequences (via sim::Rng, so
+ * failures replay) of delegate, undelegate, assign, release and
+ * releaseOwned over five realms, including illegal and unaligned
+ * calls, migration-style copies into a destination window that either
+ * commit or roll back, granules a second realm takes over after the
+ * first gave them back to the host, and runs of back-to-back calls in
+ * one window as hosts make them. Its addresses straddle block edges
+ * and sit in far-apart regions shaped like the host's real windows.
+ * After every call (or run of calls) it compares the status and every
+ * observable: stateOf, ownerOf and hostAccessible for every address,
+ * countInState for every state, and owned() for every realm; it also
+ * checks the table's own invariants (directory ascending, no empty
+ * block, per-block counts) and that every lookup path ran. Dropping the index update from any one
  * mutator shows up as a stale or missing owned() entry.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "rmm/granule.hh"
 #include "sim/rng.hh"
+
+namespace cg::rmm {
+
+/** Read-only view of GranuleTracker's blocks (a friend). */
+struct GranuleTrackerInspector {
+    const GranuleTracker& g;
+
+    /** Whether a lookup of @p addr finds its block right now. */
+    bool
+    hasBlock(PhysAddr addr) const
+    {
+        const std::uint64_t key = GranuleTracker::keyOf(addr);
+        for (const auto& d : g.dir_) {
+            if (d.first == key)
+                return true;
+        }
+        return false;
+    }
+
+    std::size_t blocks() const { return g.dir_.size(); }
+
+    /** The table's structural invariants; an empty string if they
+     * hold, else the first one broken. */
+    std::string
+    broken() const
+    {
+        for (std::size_t i = 0; i < g.dir_.size(); ++i) {
+            const auto& [key, block] = g.dir_[i];
+            if (i > 0 && g.dir_[i - 1].first >= key)
+                return "directory not strictly ascending";
+            std::size_t tracked = 0;
+            for (const auto& e : block->entries)
+                tracked += e.state != GranuleState::Undelegated ? 1 : 0;
+            if (tracked != block->tracked)
+                return "block's tracked count is off";
+            if (tracked == 0)
+                return "empty block kept";
+        }
+        return "";
+    }
+};
+
+} // namespace cg::rmm
 
 namespace sim = cg::sim;
 using namespace cg::rmm;
@@ -156,12 +205,34 @@ class ReferenceTracker
 };
 
 constexpr int numRealms = 5;
+
+/** A run of contiguous granules the harness draws addresses from. */
+struct Region {
+    PhysAddr base;
+    std::size_t granules;
+};
+
 /** Small on purpose: realms keep drawing each other's old granules. */
-constexpr std::size_t poolGranules = 40;
-constexpr PhysAddr poolBase = 0x100000;
-/** Migration destination windows are cut from this region. */
-constexpr std::size_t windowGranules = 48;
-constexpr PhysAddr windowBase = 0x40000000;
+constexpr Region pool{0x100000, 40};
+/** A migration destination window in a single block. */
+constexpr Region window{0x40000000, 48};
+/** Four granules either side of a block edge (64-granule blocks). */
+constexpr Region edge{0x8000000 - 4 * granuleSize, 8};
+/**
+ * Far-apart windows shaped like the host's (domain d = 1): the page
+ * fault window ((d + 1) << 32), the realm-create window
+ * ((d + 0x100) << 32, past a block edge like a real realm's ~70
+ * granules), and two migration windows
+ * (0x5 << 44 | d << 36 | seq << 24), also past a block edge.
+ */
+constexpr Region faultWindow{2ull << 32, 16};
+constexpr Region createWindow{0x101ull << 32, 68};
+constexpr Region migWindows[] = {
+    {0x5ull << 44 | 1ull << 36 | 0ull << 24, 68},
+    {0x5ull << 44 | 1ull << 36 | 1ull << 24, 68},
+};
+/** Regions a realm fills with a run of back-to-back calls. */
+constexpr Region fillRegions[] = {faultWindow, createWindow, edge};
 
 constexpr GranuleState allStates[] = {
     GranuleState::Undelegated, GranuleState::Delegated,
@@ -182,6 +253,15 @@ struct Coverage {
     /** Assigns of a granule that another realm held before the host
      * undelegated it. */
     std::size_t reuses = 0;
+    /** @{ Block lookups made by the calls (not the comparisons). */
+    std::size_t newBlocks = 0;     ///< a delegate created the block
+    std::size_t dirHits = 0;       ///< the directory held the block
+    std::size_t absentLookups = 0; ///< no block holds the address
+    /** @} */
+    std::size_t droppedBlocks = 0; ///< an undelegate emptied its block
+    /** Unaligned stateOf/ownerOf/release on an assigned granule. */
+    std::size_t unalignedOnAssigned = 0;
+    std::size_t fills = 0; ///< back-to-back window runs
 };
 
 class Harness
@@ -189,17 +269,20 @@ class Harness
   public:
     explicit Harness(std::uint64_t seed) : rng_(seed)
     {
-        for (std::size_t i = 0; i < poolGranules; ++i)
-            universe_.push_back(poolBase + i * granuleSize);
-        for (std::size_t i = 0; i < windowGranules; ++i)
-            universe_.push_back(windowBase + i * granuleSize);
+        addRegion(pool);
+        addRegion(window);
+        addRegion(edge);
+        addRegion(faultWindow);
+        addRegion(createWindow);
+        for (const Region& w : migWindows)
+            addRegion(w);
     }
 
     void
     run(std::size_t steps)
     {
         for (step_ = 0; step_ < steps; ++step_) {
-            switch (rng_.uniformInt(0, 9)) {
+            switch (rng_.uniformInt(0, 11)) {
               case 0:
                 delegate(pick());
                 break;
@@ -222,16 +305,17 @@ class Harness
                 migrate();
                 break;
               case 8:
-                handOver();
+                handOver(false);
                 break;
-              default: {
-                // Unaligned addresses: rejected before any lookup.
-                delegate(pick() + 0x800);
-                undelegate(pick() + 0x10);
-                const PhysAddr a = pick() + 0x8;
-                assign(a, GranuleState::Data, realm());
+              case 9:
+                fill();
                 break;
-              }
+              case 10:
+                handOver(true);
+                break;
+              default:
+                unaligned();
+                break;
             }
             if (::testing::Test::HasFatalFailure())
                 return;
@@ -241,6 +325,13 @@ class Harness
     const Coverage& coverage() const { return cov_; }
 
   private:
+    void
+    addRegion(const Region& r)
+    {
+        for (std::size_t i = 0; i < r.granules; ++i)
+            universe_.push_back(r.base + i * granuleSize);
+    }
+
     PhysAddr
     pick()
     {
@@ -259,21 +350,53 @@ class Harness
         return allStates[rng_.uniformInt(2, 5)];
     }
 
-    /** Apply @p op to both trackers and compare everything. */
+    /** Count the block lookup a call on @p addr is about to make. */
+    void
+    notePath(const char* what, PhysAddr addr)
+    {
+        if (!granuleAligned(addr))
+            return; // rejected before any lookup
+        if (GranuleTrackerInspector{index_}.hasBlock(addr))
+            ++cov_.dirHits;
+        else if (std::string(what) == "delegate")
+            ++cov_.newBlocks;
+        else
+            ++cov_.absentLookups;
+    }
+
+    /** call() for an op on the single address @p addr. */
+    template <typename Op>
+    RmiStatus
+    call(const char* what, PhysAddr addr, Op op)
+    {
+        notePath(what, addr);
+        return call(what, op);
+    }
+
+    /**
+     * Apply @p op to both trackers and compare the status; unless a
+     * run of calls is in progress (batch_), compare everything too.
+     */
     template <typename Op>
     RmiStatus
     call(const char* what, Op op)
     {
+        const std::size_t blocks = GranuleTrackerInspector{index_}.blocks();
         const RmiStatus got = op(index_);
         const RmiStatus want = op(ref_);
         EXPECT_EQ(got, want) << what << " at step " << step_;
-        expectSame(what);
+        if (GranuleTrackerInspector{index_}.blocks() < blocks)
+            ++cov_.droppedBlocks;
+        if (!batch_)
+            expectSame(what);
         return want;
     }
 
     void
     expectSame(const char* what)
     {
+        ASSERT_EQ(GranuleTrackerInspector{index_}.broken(), "")
+            << what << " at step " << step_;
         for (PhysAddr a : universe_) {
             ASSERT_EQ(index_.stateOf(a), ref_.stateOf(a))
                 << what << ": addr " << std::hex << a << std::dec
@@ -296,10 +419,24 @@ class Harness
         }
     }
 
+    /** Run @p body as one batch (statuses compared per call, the
+     * rest at the end) if @p batch, else call by call. */
+    template <typename Body>
+    void
+    batched(const char* what, bool batch, Body body)
+    {
+        batch_ = batch;
+        body();
+        if (batch_) {
+            batch_ = false;
+            expectSame(what);
+        }
+    }
+
     RmiStatus
     delegate(PhysAddr a)
     {
-        return call("delegate",
+        return call("delegate", a,
                     [a](auto& g) { return g.delegate(a); });
     }
 
@@ -307,7 +444,7 @@ class Harness
     undelegate(PhysAddr a)
     {
         const RmiStatus s = call(
-            "undelegate", [a](auto& g) { return g.undelegate(a); });
+            "undelegate", a, [a](auto& g) { return g.undelegate(a); });
         if (s == RmiStatus::Success && lastOwner_.count(a))
             returnedToHost_.insert(a);
         return s;
@@ -316,8 +453,9 @@ class Harness
     RmiStatus
     assign(PhysAddr a, GranuleState to, int r)
     {
-        const RmiStatus s = call(
-            "assign", [a, to, r](auto& g) { return g.assign(a, to, r); });
+        const RmiStatus s = call("assign", a, [a, to, r](auto& g) {
+            return g.assign(a, to, r);
+        });
         if (s != RmiStatus::Success) {
             ++cov_.illegalAssigns;
             return s;
@@ -332,7 +470,7 @@ class Harness
     RmiStatus
     release(PhysAddr a, GranuleState from, int r)
     {
-        const RmiStatus s = call("release", [a, from, r](auto& g) {
+        const RmiStatus s = call("release", a, [a, from, r](auto& g) {
             return g.release(a, from, r);
         });
         if (s == RmiStatus::Success)
@@ -377,47 +515,82 @@ class Harness
     }
 
     /**
+     * Unaligned addresses: mutators reject them before any lookup,
+     * stateOf/ownerOf read them as Undelegated/-1, and release never
+     * matches -- even when the granule containing them is assigned,
+     * with its state and owner passed.
+     */
+    void
+    unaligned()
+    {
+        delegate(pick() + 0x800);
+        undelegate(pick() + 0x10);
+        assign(pick() + 0x8, GranuleState::Data, realm());
+
+        const int r = realm();
+        const auto held = ref_.owned(r);
+        PhysAddr a = pick();
+        if (!held.empty()) {
+            a = held[rng_.uniformInt(0, held.size() - 1)].first;
+            ++cov_.unalignedOnAssigned;
+        }
+        const PhysAddr u = a + 8 * rng_.uniformInt(1, granuleSize / 8 - 1);
+        EXPECT_EQ(index_.stateOf(u), ref_.stateOf(u)) << "at step " << step_;
+        EXPECT_EQ(index_.ownerOf(u), ref_.ownerOf(u)) << "at step " << step_;
+        release(u, ref_.stateOf(a), ref_.ownerOf(a));
+    }
+
+    /**
      * The RMM's migration flow at tracker level: snapshot the realm's
      * granules, assign each into a destination window in snapshot
      * order (stopping at the first refusal, as migrateCopy does), then
      * either release the source (commit) or the partial copy (abort).
+     * Into the single-block window it compares everything after each
+     * call; into a real-shaped window it runs back to back, as the
+     * controller issues the calls, and compares at the end.
      */
     void
     migrate()
     {
         const int r = realm();
         const auto src = ref_.owned(r);
-        if (src.empty() || src.size() > windowGranules)
+        const bool real = rng_.chance(0.5);
+        const Region& w = real ? migWindows[rng_.uniformInt(0, 1)] : window;
+        if (src.empty() || src.size() > w.granules)
             return;
         const std::size_t slot =
-            rng_.uniformInt(0, windowGranules - src.size());
-        const PhysAddr base = windowBase + slot * granuleSize;
-        for (std::size_t i = 0; i < src.size(); ++i)
-            delegate(base + i * granuleSize);
-        std::size_t copied = 0;
-        while (copied < src.size() &&
-               assign(base + copied * granuleSize, src[copied].second,
-                      r) == RmiStatus::Success) {
-            ++copied;
-        }
-        if (copied == src.size() && rng_.chance(0.5)) {
-            for (const auto& [addr, state] : src) {
-                release(addr, state, r);
-                if (rng_.chance(0.5))
-                    undelegate(addr); // the host takes the source back
+            rng_.uniformInt(0, w.granules - src.size());
+        const PhysAddr base = w.base + slot * granuleSize;
+        batched("migrate", real, [&] {
+            for (std::size_t i = 0; i < src.size(); ++i)
+                delegate(base + i * granuleSize);
+            std::size_t copied = 0;
+            while (copied < src.size() &&
+                   assign(base + copied * granuleSize,
+                          src[copied].second, r) == RmiStatus::Success) {
+                ++copied;
             }
-            ++cov_.commits;
-        } else {
-            for (std::size_t i = 0; i < copied; ++i)
-                release(base + i * granuleSize, src[i].second, r);
-            ++cov_.aborts;
-        }
+            if (copied == src.size() && rng_.chance(0.5)) {
+                for (const auto& [addr, state] : src) {
+                    release(addr, state, r);
+                    if (rng_.chance(0.5))
+                        undelegate(addr); // the host takes it back
+                }
+                ++cov_.commits;
+            } else {
+                for (std::size_t i = 0; i < copied; ++i)
+                    release(base + i * granuleSize, src[i].second, r);
+                ++cov_.aborts;
+            }
+        });
     }
 
     /** A realm gives a granule back; the host undelegates it and
-     * delegates it again for a different realm. */
+     * delegates it again for a different realm (as one batch if
+     * @p batch: undelegating may drop the block just before the
+     * delegate looks it up again). */
     void
-    handOver()
+    handOver(bool batch)
     {
         const int from = realm();
         const auto held = ref_.owned(from);
@@ -425,12 +598,49 @@ class Harness
             return;
         const auto [addr, state] =
             held[rng_.uniformInt(0, held.size() - 1)];
-        release(addr, state, from);
-        undelegate(addr);
-        delegate(addr);
-        const GranuleState to = assignedState();
-        const int skip = static_cast<int>(rng_.uniformInt(1, numRealms - 1));
-        assign(addr, to, (from + skip) % numRealms);
+        batched("handOver", batch, [&] {
+            release(addr, state, from);
+            undelegate(addr);
+            delegate(addr);
+            const GranuleState to = assignedState();
+            const int skip =
+                static_cast<int>(rng_.uniformInt(1, numRealms - 1));
+            assign(addr, to, (from + skip) % numRealms);
+        });
+    }
+
+    /**
+     * A host filling a realm's window: delegate then assign a run of
+     * consecutive granules back to back, as createRealmFor() and the
+     * page-fault path do, possibly across a block edge. Sometimes the
+     * host then takes the whole window back (each owner releases its
+     * granules there and the host undelegates them all), which empties
+     * its blocks.
+     */
+    void
+    fill()
+    {
+        const Region& w = fillRegions[rng_.uniformInt(0, 2)];
+        const std::size_t first = rng_.uniformInt(0, w.granules - 1);
+        const std::size_t n =
+            rng_.uniformInt(1, std::min<std::size_t>(24, w.granules - first));
+        const int r = realm();
+        ++cov_.fills;
+        batched("fill", rng_.chance(0.5), [&] {
+            for (std::size_t i = first; i < first + n; ++i) {
+                const PhysAddr a = w.base + i * granuleSize;
+                delegate(a);
+                assign(a, assignedState(), r);
+            }
+            if (rng_.chance(0.3)) {
+                for (std::size_t i = 0; i < w.granules; ++i) {
+                    const PhysAddr a = w.base + i * granuleSize;
+                    if (ref_.ownerOf(a) >= 0)
+                        release(a, ref_.stateOf(a), ref_.ownerOf(a));
+                    undelegate(a);
+                }
+            }
+        });
     }
 
     sim::Rng rng_;
@@ -441,6 +651,7 @@ class Harness
     std::set<PhysAddr> returnedToHost_;
     Coverage cov_;
     std::size_t step_ = 0;
+    bool batch_ = false;
 };
 
 void
@@ -460,6 +671,12 @@ runSequence(std::uint64_t seed, std::size_t steps)
     EXPECT_GT(c.commits, 0u);
     EXPECT_GT(c.aborts, 0u);
     EXPECT_GT(c.reuses, 0u);
+    EXPECT_GT(c.newBlocks, 0u);
+    EXPECT_GT(c.dirHits, 0u);
+    EXPECT_GT(c.absentLookups, 0u);
+    EXPECT_GT(c.droppedBlocks, 0u);
+    EXPECT_GT(c.unalignedOnAssigned, 0u);
+    EXPECT_GT(c.fills, 0u);
 }
 
 } // namespace

@@ -186,6 +186,47 @@ TEST_F(MigrationFixture, RealmDestroyBouncesWhileMigrationInFlight)
                   st.migrationsAborted.value());
 }
 
+TEST_F(MigrationFixture, GranuleSetRmisBounceWhileMigrationInFlight)
+{
+    // Prepare snapshots the realm's granules and commit relocates
+    // exactly that snapshot: an RMI adding or dropping a granule in
+    // between would leave the realm owning a granule outside the
+    // destination window, or one its RTT no longer maps.
+    boot();
+    makeRealm();
+    bindOn(1);
+    const PhysAddr table = granule();
+    const PhysAddr data = granule();
+    const Ipa far = 1ull << 30; // needs a new level-2 table
+    const Realm* r = rmm->realm(realm);
+    const auto before = rmm->granules().owned(realm);
+    const std::size_t tables_before = r->rtt.tableCount();
+    const std::size_t pages_before = r->rtt.mappedPages();
+    ASSERT_EQ(rmm->migratePrepare(realm), RmiStatus::Success);
+
+    EXPECT_EQ(rmm->rttCreate(realm, far, 2, table), RmiStatus::Busy);
+    EXPECT_EQ(rmm->dataCreateUnknown(realm, 0x2000, data),
+              RmiStatus::Busy);
+    EXPECT_EQ(rmm->dataDestroy(realm, 0x1000), RmiStatus::Busy);
+    EXPECT_EQ(rmm->granules().owned(realm), before);
+    EXPECT_EQ(rmm->granules().stateOf(table), GranuleState::Delegated);
+    EXPECT_EQ(rmm->granules().stateOf(data), GranuleState::Delegated);
+    EXPECT_EQ(r->rtt.tableCount(), tables_before);
+    EXPECT_EQ(r->rtt.mappedPages(), pages_before);
+    EXPECT_EQ(r->rtt.walkLevel(far), 2);
+    EXPECT_FALSE(r->rtt.translate(0x2000).has_value());
+    EXPECT_TRUE(r->rtt.translate(0x1000).has_value());
+
+    ASSERT_EQ(rmm->migrateAbort(realm), RmiStatus::Success);
+    EXPECT_EQ(rmm->rttCreate(realm, far, 2, table), RmiStatus::Success);
+    EXPECT_EQ(rmm->dataCreateUnknown(realm, 0x2000, data),
+              RmiStatus::Success);
+    EXPECT_EQ(rmm->dataDestroy(realm, 0x1000), RmiStatus::Success);
+    EXPECT_EQ(r->rtt.tableCount(), tables_before + 1);
+    EXPECT_EQ(r->rtt.mappedPages(), pages_before);
+    EXPECT_EQ(rmm->granules().owned(realm).size(), before.size() + 1);
+}
+
 TEST_F(MigrationFixture, PrepareRequiresGappedActivePausedRealm)
 {
     // Without core gapping there is no binding to migrate.
