@@ -13,7 +13,9 @@
 #              included)
 #   3. replay: the churn soak smoke (short create/migrate/hotplug/
 #              destroy soak, fault sites armed, checker on) run twice;
-#              the two outputs must be byte-identical
+#              the two outputs and the two --stats dumps must be
+#              byte-identical (the dump gates the stats registry's
+#              name order and its values, not only stdout)
 #   4. check:  the isolation-checker gate --
 #                a. fig7, fig8 and fig9 each under --check twice and
 #                   once disarmed; every run must succeed and all three
@@ -71,9 +73,12 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "==> [3/8] churn soak replay (two runs, diffed)"
-build/bench/ext_soak_churn --quick --check > build/soak_replay_a.txt
-build/bench/ext_soak_churn --quick --check > build/soak_replay_b.txt
+build/bench/ext_soak_churn --quick --check \
+    --stats build/soak_replay_a_stats.txt > build/soak_replay_a.txt
+build/bench/ext_soak_churn --quick --check \
+    --stats build/soak_replay_b_stats.txt > build/soak_replay_b.txt
 diff build/soak_replay_a.txt build/soak_replay_b.txt
+diff build/soak_replay_a_stats.txt build/soak_replay_b_stats.txt
 
 echo "==> [4/8] isolation-checker gate"
 for bench in fig7_multi_vm fig8_netpipe fig9_iozone; do

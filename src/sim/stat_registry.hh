@@ -11,11 +11,22 @@
  * are all read off these objects, and the `--stats <path>` bench flag
  * writes the dump for offline comparison.
  *
+ * Layout: the unit of registration is a StatGroup, one per component.
+ * A group keeps its own (leaf, kind, pointer) entries and is linked
+ * into the registry as one block, so registering a stat appends to
+ * its group and destroying a component drops the whole block. No full
+ * name is built unless another group's prefix nests with the group's
+ * own, and no other group's names are touched. Name-keyed reads
+ * (find(), the dumps) resolve over the blocks and are meant for bind
+ * and dump time. Names added straight to the registry go into a
+ * registry-owned block with an empty prefix.
+ *
  * Lifetime: a registered stat must outlive its registry entry. The
  * StatGroup RAII helper makes that automatic — a component keeps a
  * StatGroup member next to its stats and every name the group added is
  * removed when the component is destroyed, so teardown order can never
- * leave the registry pointing at freed memory.
+ * leave the registry pointing at freed memory. The registry must
+ * outlive every group attached to it.
  *
  * Registration is pure bookkeeping: it schedules no events, consumes
  * no randomness, and therefore cannot perturb simulated results.
@@ -25,13 +36,86 @@
 #define CG_SIM_STAT_REGISTRY_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/stats.hh"
 
 namespace cg::sim {
+
+class StatRegistry;
+
+/** Discriminator for what a registered name refers to. */
+enum class StatKind { Counter, Accumulator, Distribution, Latency, Value };
+
+/**
+ * RAII registration scope: registers stats under a common prefix and
+ * removes every one of them on destruction. Embed one per component:
+ *
+ *     statGroup_.attach(registry, "kvm." + vmName);
+ *     statGroup_.add("exits", stats_.exits);       // kvm.<vm>.exits
+ *
+ * The group is the registry's block for those names: add() appends to
+ * the group, and clear(), destruction and moves drop, unlink or relink
+ * the block without looking at any other group.
+ */
+class StatGroup
+{
+  public:
+    StatGroup() = default;
+    StatGroup(StatRegistry& r, std::string prefix);
+    ~StatGroup();
+
+    StatGroup(StatGroup&& o) noexcept;
+    StatGroup& operator=(StatGroup&& o) noexcept;
+    StatGroup(const StatGroup&) = delete;
+    StatGroup& operator=(const StatGroup&) = delete;
+
+    /** Bind to a registry under @p prefix, dropping prior entries. */
+    void attach(StatRegistry& r, std::string prefix);
+
+    bool attached() const { return reg_ != nullptr; }
+    const std::string& prefix() const { return prefix_; }
+
+    /** @{ Register "<prefix>.<leaf>"; no-ops when unattached, so
+     * components work unregistered (unit tests, ad-hoc assemblies). */
+    void add(const std::string& leaf, const Counter& c);
+    void add(const std::string& leaf, const Accumulator& a);
+    void add(const std::string& leaf, const Distribution& d);
+    void add(const std::string& leaf, const LatencyStat& l);
+    void addValue(const std::string& leaf, const std::uint64_t& v);
+    /** @} */
+
+    /** Remove everything this group registered (it stays attached). */
+    void clear();
+
+  private:
+    friend class StatRegistry;
+
+    /** One registered stat: its name (the leaf below the prefix; the
+     * full name in the registry's dump rows) and its target. */
+    struct Entry {
+        std::string name;
+        StatKind kind;
+        const void* ptr;
+    };
+
+    void addLeaf(const std::string& leaf, StatKind kind, const void* p);
+    /** The entry registered as the full name @p name, or nullptr. */
+    const Entry* leafFor(const std::string& name) const;
+    std::string fullName(const std::string& leaf) const;
+    /** Drop every entry and unlink from the registry. */
+    void detach();
+    /** Take @p o's entries and its place in the registry. */
+    void takeOver(StatGroup& o);
+
+    StatRegistry* reg_ = nullptr;
+    std::string prefix_;
+    std::vector<Entry> leaves_;
+    /** Neighbours in the registry's list of attached groups. */
+    StatGroup* prev_ = nullptr;
+    StatGroup* next_ = nullptr;
+};
 
 class StatRegistry
 {
@@ -56,22 +140,22 @@ class StatRegistry
     /** Remove every entry whose name starts with @p prefix. */
     void removePrefix(const std::string& prefix);
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const;
     bool has(const std::string& name) const;
 
     /** All registered names, sorted. */
     std::vector<std::string> names() const;
 
-    /** Discriminator for what a registered name refers to. */
-    enum class Kind { Counter, Accumulator, Distribution, Latency, Value };
+    using Kind = StatKind;
 
     /**
      * Resolved handle to a registered stat: the result of one
      * string-keyed lookup, reusable for the registration's lifetime.
      *
-     * String-keyed lookup costs a map walk plus per-character
-     * comparisons, which is fine at dump time and poison inside event
-     * callbacks. Code that reads a stat repeatedly must call find()
+     * String-keyed lookup walks every attached group and compares the
+     * name against each group's prefix and then its leaves, which is
+     * fine at bind and dump time and poison inside event callbacks.
+     * Code that reads a stat repeatedly must call find()
      * once (at construction / bind time) and keep the StatRef; the
      * stat-handle rule of tools/cg-analyze flags lookups that remain
      * inside callback bodies. The handle is invalidated by remove()/
@@ -152,65 +236,28 @@ class StatRegistry
     /**
      * Write the dump to @p path; a ".json" suffix selects the JSON
      * format, anything else the text format.
-     * @return false if the file could not be written.
+     * @return false if the file could not be written in full.
      */
     bool writeFile(const std::string& path) const;
 
   private:
-    struct Entry {
-        Kind kind;
-        const void* ptr;
-    };
+    friend class StatGroup;
 
-    void addEntry(const std::string& name, Kind kind, const void* p);
+    using Entry = StatGroup::Entry;
 
-    /** Ordered so enumeration and dumps are deterministic. */
-    std::map<std::string, Entry> entries_;
-};
+    /** Every registered stat under its full name, sorted by it (the
+     * dump order). */
+    std::vector<Entry> sortedRows() const;
 
-/**
- * RAII registration scope: registers stats under a common prefix and
- * removes every one of them on destruction. Embed one per component:
- *
- *     statGroup_.attach(registry, "kvm." + vmName);
- *     statGroup_.add("exits", stats_.exits);       // kvm.<vm>.exits
- */
-class StatGroup
-{
-  public:
-    StatGroup() = default;
-    StatGroup(StatRegistry& r, std::string prefix);
-    ~StatGroup();
+    /** The block for names added straight to the registry, under the
+     * empty prefix. Attached on first use: every name could collide
+     * with it, so while it is attached each registration builds the
+     * full name to check against it. */
+    StatGroup& loose();
 
-    StatGroup(StatGroup&& o) noexcept;
-    StatGroup& operator=(StatGroup&& o) noexcept;
-    StatGroup(const StatGroup&) = delete;
-    StatGroup& operator=(const StatGroup&) = delete;
-
-    /** Bind to a registry under @p prefix, dropping prior entries. */
-    void attach(StatRegistry& r, std::string prefix);
-
-    bool attached() const { return reg_ != nullptr; }
-    const std::string& prefix() const { return prefix_; }
-
-    /** @{ Register "<prefix>.<leaf>"; no-ops when unattached, so
-     * components work unregistered (unit tests, ad-hoc assemblies). */
-    void add(const std::string& leaf, const Counter& c);
-    void add(const std::string& leaf, const Accumulator& a);
-    void add(const std::string& leaf, const Distribution& d);
-    void add(const std::string& leaf, const LatencyStat& l);
-    void addValue(const std::string& leaf, const std::uint64_t& v);
-    /** @} */
-
-    /** Remove everything this group registered. */
-    void clear();
-
-  private:
-    std::string fullName(const std::string& leaf) const;
-
-    StatRegistry* reg_ = nullptr;
-    std::string prefix_;
-    std::vector<std::string> names_;
+    /** Attached groups, most recently attached first. */
+    StatGroup* head_ = nullptr;
+    StatGroup loose_;
 };
 
 } // namespace cg::sim

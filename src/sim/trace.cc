@@ -223,8 +223,13 @@ Tracer::writeFile(const std::string& path) const
         return false;
     }
     const std::string body = exportJson();
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
+    const bool written =
+        std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    const bool closed = std::fclose(f) == 0;
+    if (!written || !closed) {
+        warn("cannot write trace to '%s'", path.c_str());
+        return false;
+    }
     return true;
 }
 

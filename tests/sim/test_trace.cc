@@ -180,6 +180,21 @@ TEST(Tracer, ReenableResetsTheRing)
     EXPECT_EQ(t.capacity(), 8u);
 }
 
+TEST(Tracer, WriteFileReportsAFullDisk)
+{
+    Simulation s;
+    Tracer& t = s.tracer();
+    t.enable();
+    t.instant("a", Tracer::coresPid, 0);
+    // Fits in the stdio buffer, so the error surfaces at fclose.
+    EXPECT_FALSE(t.writeFile("/dev/full"));
+
+    // Larger than the buffer, so fwrite itself comes up short.
+    for (int i = 0; i < 512; ++i)
+        t.instant("b", Tracer::coresPid, i);
+    EXPECT_FALSE(t.writeFile("/dev/full"));
+}
+
 TEST(ObservabilityRequest, ClaimIsExactlyOnce)
 {
     ObservabilityRequest::reset();
