@@ -20,15 +20,17 @@
 #ifndef CG_BENCH_COMMON_HH
 #define CG_BENCH_COMMON_HH
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "check/checker.hh"
 #include "sim/fault.hh"
-#include "sim/trace.hh"
+#include "sim/logging.hh"
+#include "workloads/testbed.hh"
 
 namespace cg::bench {
 
@@ -45,6 +47,8 @@ inline std::string json_path;   // empty: no JSON output
 inline std::string bench_name;  // argv[0] basename
 inline std::vector<JsonRow> json_rows;
 inline bool quick_requested = false;
+inline cg::workloads::RunOptions run_options; // see runOptions()
+inline bool write_failed = false; // a --stats/--trace write failed
 
 /** Minimal JSON string escaping (quotes and backslashes). */
 inline std::string
@@ -60,42 +64,101 @@ jsonEscape(const std::string& s)
     return out;
 }
 
-inline void
+/** Write the --json report; @return false if it could not be. */
+inline bool
 writeJsonReport()
 {
     if (json_path.empty())
-        return;
+        return true;
     std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write JSON report to '%s'\n",
-                     json_path.c_str());
+    if (f) {
+        std::fprintf(f, "[\n");
+        for (std::size_t i = 0; i < json_rows.size(); ++i) {
+            const JsonRow& r = json_rows[i];
+            std::fprintf(f,
+                         "  {\"bench\": \"%s\", \"metric\": \"%s\", "
+                         "\"paper\": %.6g, \"measured\": %.6g}%s\n",
+                         jsonEscape(bench_name).c_str(),
+                         jsonEscape(r.metric).c_str(), r.paper,
+                         r.measured, i + 1 < json_rows.size() ? "," : "");
+        }
+        std::fprintf(f, "]\n");
+        // A full disk shows as a stream error or in fclose's flush.
+        const bool written = !std::ferror(f);
+        if (std::fclose(f) == 0 && written)
+            return true;
+    }
+    std::fprintf(stderr, "cannot write JSON report to '%s'\n",
+                 json_path.c_str());
+    return false;
+}
+
+/**
+ * At exit: write the JSON report and fail the run if it or a
+ * --stats/--trace file could not be written. An atexit handler can
+ * only change the status with _Exit, which skips exit()'s flush.
+ */
+inline void
+finishRun()
+{
+    if (writeJsonReport() && !write_failed)
         return;
-    }
-    std::fprintf(f, "[\n");
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-        const JsonRow& r = json_rows[i];
-        std::fprintf(f,
-                     "  {\"bench\": \"%s\", \"metric\": \"%s\", "
-                     "\"paper\": %.6g, \"measured\": %.6g}%s\n",
-                     jsonEscape(bench_name).c_str(),
-                     jsonEscape(r.metric).c_str(), r.paper, r.measured,
-                     i + 1 < json_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 } // namespace detail
 
 /**
- * Parse common harness flags and register the JSON report writer to
- * run at exit. Call first in main().
+ * Print the usage line and exit 2. @p own_flags lists the bench's own
+ * flags ahead of the common ones ("" for none); a non-empty @p why is
+ * printed first.
+ */
+[[noreturn]] inline void
+usage(const char* argv0, const char* own_flags = "",
+      const std::string& why = "")
+{
+    if (!why.empty())
+        std::fprintf(stderr, "%s: %s\n", argv0, why.c_str());
+    std::fprintf(stderr,
+                 "usage: %s %s[--json <path>] [--stats <path>] "
+                 "[--trace <path>] [--faults <plan>] "
+                 "[--fault-seed <n>] [--check] "
+                 "[--check-abort] [--quick]\n",
+                 argv0, own_flags);
+    std::exit(2);
+}
+
+/**
+ * The value of numeric flag @p flag: all of @p text as an unsigned
+ * integer (strtoull base 0, so "0x" selects hex). Empty, signed,
+ * non-numeric, out-of-range or junk-trailed text exits 2 via usage().
+ */
+inline std::uint64_t
+unsignedFlag(const char* argv0, const char* own_flags, const char* flag,
+             const char* text)
+{
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(*text)) || errno != 0 ||
+        *end != '\0') {
+        usage(argv0, own_flags,
+              std::string(flag) + ": bad value '" + text + "'");
+    }
+    return v;
+}
+
+/**
+ * Parse common harness flags and register the output check to run at
+ * exit. Call first in main().
  *
  *   --json <path>    write the compareRow()/jsonRow() points as JSON
- *   --stats <path>   dump the stats registry of the first Testbed the
- *                    run constructs (".json" suffix selects JSON)
- *   --trace <path>   record that Testbed's tracepoints and write them
- *                    as Chrome trace_event JSON (chrome://tracing)
+ *   --stats <path>   dump the stats registry of the observed run (the
+ *                    first Testbed the bench configures; sweep point 0
+ *                    in a sweep) (".json" suffix selects JSON)
+ *   --trace <path>   record that run's tracepoints and write them as
+ *                    Chrome trace_event JSON (chrome://tracing)
  *   --faults <plan>  arm the fault plan (FaultPlan::parse grammar) in
  *                    every Testbed the run constructs
  *   --fault-seed <n> seed for the plan's probabilistic triggers
@@ -107,31 +170,30 @@ writeJsonReport()
  *   --quick          shrink the run for smoke tests (harnesses that
  *                    support it check bench::quick() and cut sweep
  *                    points / durations; others ignore it)
+ *
+ * A malformed or empty plan and a non-numeric seed exit 2 with the
+ * usage line. A --json, --stats or --trace file that cannot be written
+ * fails the run (exit 1).
  */
 inline void
 initHarness(int argc, char** argv)
 {
     const char* slash = std::strrchr(argv[0], '/');
     detail::bench_name = slash ? slash + 1 : argv[0];
-    std::string stats_path;
-    std::string trace_path;
-    std::string fault_plan;
-    std::uint64_t fault_seed = 1;
-    bool check_requested = false;
-    bool check_abort = false;
+    cg::workloads::RunOptions& run = detail::run_options;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
             detail::json_path = argv[++i];
         } else if (std::strcmp(argv[i], "--stats") == 0 &&
                    i + 1 < argc) {
-            stats_path = argv[++i];
+            run.statsPath = argv[++i];
         } else if (std::strcmp(argv[i], "--trace") == 0 &&
                    i + 1 < argc) {
-            trace_path = argv[++i];
+            run.tracePath = argv[++i];
         } else if (std::strcmp(argv[i], "--faults") == 0 &&
                    i + 1 < argc) {
-            fault_plan = argv[++i];
-            if (fault_plan == "help" || fault_plan == "list") {
+            const std::string plan = argv[++i];
+            if (plan == "help" || plan == "list") {
                 std::printf("fault sites (plan grammar: "
                             "\"<site>[:key=val]...;...\" with keys "
                             "nth=, p=, from=, until=, max=, param=):\n"
@@ -139,32 +201,47 @@ initHarness(int argc, char** argv)
                             cg::sim::faultSiteListText().c_str());
                 std::exit(0);
             }
+            try {
+                run.faults = cg::sim::FaultPlan::parse(plan);
+            } catch (const cg::sim::FatalError& e) {
+                usage(argv[0], "", e.what());
+            }
+            if (run.faults.empty())
+                usage(argv[0], "", "--faults: the plan declares no fault");
         } else if (std::strcmp(argv[i], "--fault-seed") == 0 &&
                    i + 1 < argc) {
-            fault_seed = std::strtoull(argv[++i], nullptr, 0);
+            run.faultSeed = unsignedFlag(argv[0], "", argv[i], argv[i + 1]);
+            ++i;
         } else if (std::strcmp(argv[i], "--check") == 0) {
-            check_requested = true;
+            run.check = true;
         } else if (std::strcmp(argv[i], "--check-abort") == 0) {
-            check_requested = true;
-            check_abort = true;
+            run.check = true;
+            run.abortOnLeak = true;
         } else if (std::strcmp(argv[i], "--quick") == 0) {
             detail::quick_requested = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--json <path>] [--stats <path>] "
-                         "[--trace <path>] [--faults <plan>] "
-                         "[--fault-seed <n>] [--check] "
-                         "[--check-abort] [--quick]\n",
-                         argv[0]);
-            std::exit(2);
+            usage(argv[0]);
         }
     }
-    cg::sim::ObservabilityRequest::configure(stats_path, trace_path);
-    if (!fault_plan.empty())
-        cg::sim::FaultPlanRequest::configure(fault_plan, fault_seed);
-    if (check_requested)
-        cg::check::CheckRequest::configure(check_abort);
-    std::atexit(detail::writeJsonReport);
+    run.writeFailed = &detail::write_failed;
+    std::atexit(detail::finishRun);
+}
+
+/**
+ * The run options for one Testbed::Config, as initHarness() parsed
+ * them. Every call carries the fault plan and the checker request;
+ * only the first carries the --stats/--trace paths, so exactly one
+ * testbed is observed. Sweeps call this once per point, in index
+ * order, before fanning out, so the observed run is sweep point 0 at
+ * any CG_THREADS.
+ */
+inline cg::workloads::RunOptions
+runOptions()
+{
+    cg::workloads::RunOptions r = detail::run_options;
+    detail::run_options.statsPath.clear();
+    detail::run_options.tracePath.clear();
+    return r;
 }
 
 /** Was --quick passed? Harnesses shrink sweeps/durations when set. */

@@ -28,6 +28,7 @@ Row
 run(RunMode mode, bool direct_irq, std::uint64_t bytes)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 16;
     cfg.mode = mode;
     Testbed bed(cfg);

@@ -94,6 +94,7 @@ Row
 run(const std::string& plan, sim::FaultSite site)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 6;
     cfg.mode = RunMode::CoreGapped;
     cfg.seed = 17;
@@ -138,6 +139,7 @@ Row
 runMonitorHang()
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 6;
     cfg.mode = RunMode::CoreGapped;
     cfg.seed = 17;

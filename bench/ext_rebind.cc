@@ -41,6 +41,7 @@ double
 runScore(bool with_rebind, Tick& stall)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 6;
     cfg.mode = RunMode::CoreGapped;
     Testbed bed(cfg);

@@ -31,6 +31,8 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <memory>
 #include <random>
@@ -156,6 +158,27 @@ hotplugRoundTrip(host::Kernel& k, sim::CoreId c, bool& done)
     done = true;
 }
 
+constexpr const char* kOwnFlags =
+    "[--sim-hours <h>] [--ops <n>] [--seed <n>] ";
+
+/** --sim-hours: a finite count of hours whose horizon, in ticks, fits
+ * a Tick; anything else exits 2 via usage(). */
+double
+simHoursFlag(const char* argv0, const char* text)
+{
+    const double max_hours =
+        static_cast<double>(sim::maxTick / sim::sec) / 3600.0;
+    char* end = nullptr;
+    errno = 0;
+    const double h = std::strtod(text, &end);
+    if ((!std::isdigit(static_cast<unsigned char>(*text)) && *text != '.') ||
+        errno != 0 || *end != '\0' || !(h < max_hours)) {
+        cg::bench::usage(argv0, kOwnFlags,
+                         sim::strFormat("--sim-hours: bad value '%s'", text));
+    }
+    return h;
+}
+
 struct Tally {
     std::uint64_t ops = 0;
     std::uint64_t creates = 0;
@@ -186,14 +209,18 @@ main(int argc, char** argv)
     std::vector<char*> rest;
     rest.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sim-hours") == 0 && i + 1 < argc)
-            sim_hours = std::strtod(argv[++i], nullptr);
-        else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc)
-            max_ops = std::strtoull(argv[++i], nullptr, 0);
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            seed = std::strtoull(argv[++i], nullptr, 0);
-        else
+        const char* flag = argv[i];
+        if (std::strcmp(flag, "--sim-hours") == 0 && i + 1 < argc) {
+            sim_hours = simHoursFlag(argv[0], argv[++i]);
+        } else if (std::strcmp(flag, "--ops") == 0 && i + 1 < argc) {
+            max_ops = cg::bench::unsignedFlag(argv[0], kOwnFlags, flag,
+                                              argv[++i]);
+        } else if (std::strcmp(flag, "--seed") == 0 && i + 1 < argc) {
+            seed = cg::bench::unsignedFlag(argv[0], kOwnFlags, flag,
+                                           argv[++i]);
+        } else {
             rest.push_back(argv[i]);
+        }
     }
     cg::bench::initHarness(static_cast<int>(rest.size()), rest.data());
 
@@ -211,6 +238,7 @@ main(int argc, char** argv)
                 cg::bench::quick() ? " (--quick)" : "");
 
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = kNumCores;
     cfg.mode = RunMode::CoreGapped;
     cfg.seed = seed;
@@ -225,7 +253,7 @@ main(int argc, char** argv)
         bed.machine().attachChecker(own_checker.get());
         checker = own_checker.get();
     }
-    if (!sim::FaultPlanRequest::requested()) {
+    if (cfg.run.faults.empty()) {
         bed.sim().faults().arm(seed ^ 0x9e3779b97f4a7c15ull,
                                sim::FaultPlan::parse(kDefaultPlan));
     }

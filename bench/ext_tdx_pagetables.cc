@@ -48,6 +48,7 @@ Row
 run(bool tdx_style, int pages = 400)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 4;
     cfg.mode = RunMode::CoreGapped;
     Testbed bed(cfg);

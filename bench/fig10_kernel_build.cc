@@ -20,6 +20,7 @@ Tick
 buildTime(RunMode mode, int phys_cores)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = phys_cores;
     cfg.mode = mode;
     Testbed bed(cfg);

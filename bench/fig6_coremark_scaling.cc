@@ -34,9 +34,10 @@ struct Point {
 };
 
 Point
-runPoint(RunMode mode, int phys_cores)
+runPoint(RunMode mode, int phys_cores, RunOptions run)
 {
     Testbed::Config cfg;
+    cfg.run = std::move(run);
     cfg.numCores = phys_cores;
     cfg.mode = mode;
     Testbed bed(cfg);
@@ -74,11 +75,15 @@ main(int argc, char** argv)
 
     // One job per (core count, mode); results land in index order, so
     // aggregation below sees them exactly as the old serial loop did.
+    // Run options are taken in index order too: point 0 is observed.
+    const auto n = static_cast<std::size_t>(numSweep * numModes);
+    std::vector<RunOptions> runs;
+    for (std::size_t i = 0; i < n; ++i)
+        runs.push_back(cg::bench::runOptions());
     const auto points = sim::ParallelRunner::mapIndexed<Point>(
-        static_cast<std::size_t>(numSweep * numModes),
-        [&](std::size_t i) {
-            return runPoint(modes[i % numModes],
-                            sweep[i / numModes]);
+        n, [&](std::size_t i) {
+            return runPoint(modes[i % numModes], sweep[i / numModes],
+                            runs[i]);
         });
     const auto at = [&](int sweep_idx, int mode_idx) -> const Point& {
         return points[static_cast<std::size_t>(sweep_idx) * numModes +

@@ -24,9 +24,10 @@ using sim::Tick;
 namespace {
 
 double
-aggregate(RunMode mode, int num_vms)
+aggregate(RunMode mode, int num_vms, RunOptions run)
 {
     Testbed::Config cfg;
+    cfg.run = std::move(run);
     cfg.numCores = 64;
     cfg.mode = mode;
     Testbed bed(cfg);
@@ -70,12 +71,16 @@ main(int argc, char** argv)
     const int counts[] = {1, 2, 4, 8, 12, 15};
     const std::size_t nk = std::size(counts);
     // Independent sweep points (one Testbed each): job 2i is the
-    // shared run for counts[i], job 2i+1 the core-gapped run.
+    // shared run for counts[i], job 2i+1 the core-gapped run. Run
+    // options are taken in index order: point 0 is observed.
+    std::vector<RunOptions> runs;
+    for (std::size_t i = 0; i < 2 * nk; ++i)
+        runs.push_back(cg::bench::runOptions());
     const auto scores = sim::ParallelRunner::mapIndexed<double>(
         2 * nk, [&](std::size_t i) {
             return aggregate(i % 2 == 0 ? RunMode::SharedCore
                                         : RunMode::CoreGapped,
-                             counts[i / 2]);
+                             counts[i / 2], runs[i]);
         });
     double first_gapped = 0.0;
     int first_k = 0;

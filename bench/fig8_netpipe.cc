@@ -23,6 +23,7 @@ NetPipe::Result
 run(RunMode mode, bool sriov, std::uint64_t bytes)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 16;
     cfg.mode = mode;
     Testbed bed(cfg);

@@ -21,6 +21,7 @@ IoZone::Result
 run(RunMode mode, std::uint64_t record, bool write)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 16;
     cfg.mode = mode;
     Testbed bed(cfg);

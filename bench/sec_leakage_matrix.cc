@@ -27,6 +27,7 @@ LeakReport
 runLab(RunMode mode)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 6;
     cfg.mode = mode;
     Testbed bed(cfg);

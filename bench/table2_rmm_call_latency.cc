@@ -66,6 +66,7 @@ Results
 measure()
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 4;
     cfg.mode = RunMode::CoreGapped;
     Testbed bed(cfg);

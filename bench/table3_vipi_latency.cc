@@ -63,6 +63,7 @@ double
 measure(RunMode mode, int iters = 200)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 4;
     cfg.mode = mode;
     Testbed bed(cfg);

@@ -52,9 +52,10 @@ struct Counts {
 };
 
 Counts
-runOnce(bool delegation, std::uint64_t seed)
+runOnce(bool delegation, std::uint64_t seed, RunOptions run)
 {
     Testbed::Config cfg;
+    cfg.run = std::move(run);
     cfg.numCores = 16;
     cfg.mode = delegation ? RunMode::CoreGapped
                           : RunMode::CoreGappedNoDelegation;
@@ -113,10 +114,14 @@ main(int argc, char** argv)
     // 5 seeds x {without, with} delegation, each an independent
     // Testbed: fan the 10 runs across the pool. Seeds stay the
     // explicit 1..5 of the paper setup, so results match serial runs.
+    // Run options are taken in index order: point 0 is observed.
+    std::vector<RunOptions> opts;
+    for (std::size_t i = 0; i < 10; ++i)
+        opts.push_back(cg::bench::runOptions());
     const auto runs = sim::ParallelRunner::mapIndexed<Counts>(
-        10, [](std::size_t i) {
+        10, [&](std::size_t i) {
             return runOnce(/*delegation=*/i % 2 == 1,
-                           /*seed=*/1 + i / 2);
+                           /*seed=*/1 + i / 2, opts[i]);
         });
     std::vector<Counts> without, with_d;
     for (std::size_t i = 0; i < runs.size(); ++i)

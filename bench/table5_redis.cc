@@ -50,6 +50,7 @@ RedisBenchmark::Result
 runRedis(RunMode mode, RedisOp op)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 16;
     cfg.mode = mode;
     Testbed bed(cfg);
@@ -110,6 +111,7 @@ SweepPoint
 runOpenLoop(SweepMode m, double offered_krps, Tick duration)
 {
     Testbed::Config cfg;
+    cfg.run = cg::bench::runOptions();
     cfg.numCores = 16;
     cfg.mode = m == SweepMode::Hosted ? RunMode::SharedCoreCvm
                                       : RunMode::CoreGapped;

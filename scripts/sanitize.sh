@@ -7,7 +7,7 @@
 #                      suppressions file (scripts/tsan.supp). The only
 #                      threaded code is sim::ParallelRunner fanning out
 #                      independent Simulations, so this leg pins down
-#                      the sweep harness and the request singletons.
+#                      the sweep harness.
 #   <sanitizers>       any CG_SANITIZE value, e.g. "address,undefined"
 #
 # Each instrumented tree lives in its own build dir so it never

@@ -1,6 +1,5 @@
 #include "check/checker.hh"
 
-#include <atomic>
 #include <sstream>
 
 #include "sim/event_queue.hh"
@@ -314,51 +313,6 @@ IsolationChecker::registerStats(sim::StatRegistry& reg)
                            leakKindName(static_cast<LeakKind>(k)),
                        perKind_[k]);
     }
-}
-
-namespace {
-
-struct CheckRequestState {
-    std::atomic<bool> requested{false};
-    std::atomic<bool> abortOnLeak{false};
-};
-
-CheckRequestState&
-checkRequestState()
-{
-    static CheckRequestState s;
-    return s;
-}
-
-} // namespace
-
-void
-CheckRequest::configure(bool abort_on_leak)
-{
-    auto& s = checkRequestState();
-    s.requested.store(true, std::memory_order_relaxed);
-    s.abortOnLeak.store(abort_on_leak, std::memory_order_relaxed);
-}
-
-bool
-CheckRequest::requested()
-{
-    return checkRequestState().requested.load(std::memory_order_relaxed);
-}
-
-bool
-CheckRequest::abortOnLeak()
-{
-    return checkRequestState().abortOnLeak.load(
-        std::memory_order_relaxed);
-}
-
-void
-CheckRequest::reset()
-{
-    auto& s = checkRequestState();
-    s.requested.store(false, std::memory_order_relaxed);
-    s.abortOnLeak.store(false, std::memory_order_relaxed);
 }
 
 } // namespace cg::check

@@ -227,26 +227,6 @@ class IsolationChecker
     sim::StatGroup statGroup_;
 };
 
-/**
- * Process-global check request, set by the benchmark harness
- * (`--check` / `--check-abort` in bench/common.hh) and applied by
- * every Testbed it constructs. Like FaultPlanRequest there is no
- * claim: each run in a sweep gets its own checker, and because the
- * checker is pure observation the sweep's simulated results are
- * byte-identical with or without it.
- */
-class CheckRequest
-{
-  public:
-    static void configure(bool abort_on_leak);
-
-    static bool requested();
-    static bool abortOnLeak();
-
-    /** Forget the request (tests). */
-    static void reset();
-};
-
 } // namespace cg::check
 
 #endif // CG_CHECK_CHECKER_HH

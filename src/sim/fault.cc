@@ -25,6 +25,16 @@ constexpr const char* siteNames[numFaultSites] = {
     "rtt-copy-stall",
 };
 
+/** Reject a spec no trigger can honour (a NaN probability included). */
+void
+checkSpec(const FaultSpec& spec)
+{
+    if (!(spec.probability >= 0.0 && spec.probability <= 1.0))
+        fatal("fault spec probability %g out of [0,1]", spec.probability);
+    if (spec.windowEnd < spec.windowStart)
+        fatal("fault spec window ends before it starts");
+}
+
 } // namespace
 
 std::string
@@ -79,10 +89,7 @@ void
 FaultPlan::add(const FaultSpec& spec)
 {
     CG_ASSERT(armed_, "adding a fault spec to a disarmed plan");
-    if (spec.probability < 0.0 || spec.probability > 1.0)
-        fatal("fault spec probability %g out of [0,1]", spec.probability);
-    if (spec.windowEnd < spec.windowStart)
-        fatal("fault spec window ends before it starts");
+    checkSpec(spec);
     specs_.push_back(ArmedSpec{spec, 0});
 }
 
@@ -186,8 +193,8 @@ parseTime(const std::string& text)
     } catch (const std::exception&) {
         fatal("fault plan: bad time '%s'", text.c_str());
     }
-    if (v < 0.0)
-        fatal("fault plan: negative time '%s'", text.c_str());
+    if (!(v >= 0.0))
+        fatal("fault plan: bad time '%s'", text.c_str());
     const std::string unit = text.substr(pos);
     Tick scale = nsec;
     if (unit == "ns" || unit.empty())
@@ -200,17 +207,40 @@ parseTime(const std::string& text)
         scale = sec;
     else
         fatal("fault plan: bad time unit '%s'", unit.c_str());
-    return static_cast<Tick>(v * static_cast<double>(scale));
+    const double ticks = v * static_cast<double>(scale);
+    if (!(ticks < static_cast<double>(maxTick)))
+        fatal("fault plan: time '%s' out of range", text.c_str());
+    return static_cast<Tick>(ticks);
 }
 
+/** Digits only: stoull alone would read "-1" as 2^64-1 and "5x" as 5. */
 std::uint64_t
 parseCount(const std::string& text)
 {
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        fatal("fault plan: bad count '%s'", text.c_str());
     try {
         return std::stoull(text);
     } catch (const std::exception&) {
         fatal("fault plan: bad count '%s'", text.c_str());
     }
+}
+
+/** The whole of @p text as a probability; trailing junk is an error. */
+double
+parseProbability(const std::string& text)
+{
+    std::size_t pos = 0;
+    double p = 0.0;
+    try {
+        p = std::stod(text, &pos);
+    } catch (const std::exception&) {
+        fatal("fault plan: bad probability '%s'", text.c_str());
+    }
+    if (pos != text.size())
+        fatal("fault plan: bad probability '%s'", text.c_str());
+    return p;
 }
 
 std::vector<std::string>
@@ -257,12 +287,7 @@ FaultPlan::parse(const std::string& text)
             if (key == "nth") {
                 spec.nth = parseCount(val);
             } else if (key == "p") {
-                try {
-                    spec.probability = std::stod(val);
-                } catch (const std::exception&) {
-                    fatal("fault plan: bad probability '%s'",
-                          val.c_str());
-                }
+                spec.probability = parseProbability(val);
             } else if (key == "from") {
                 spec.windowStart = parseTime(val);
             } else if (key == "until") {
@@ -275,53 +300,10 @@ FaultPlan::parse(const std::string& text)
                 fatal("fault plan: unknown key '%s'", key.c_str());
             }
         }
+        checkSpec(spec);
         out.push_back(spec);
     }
     return out;
-}
-
-// ---------------------------------------------------- FaultPlanRequest
-
-namespace {
-
-std::string g_planText;
-std::uint64_t g_planSeed = 0;
-bool g_planRequested = false;
-
-} // namespace
-
-void
-FaultPlanRequest::configure(std::string plan_text, std::uint64_t seed)
-{
-    g_planText = std::move(plan_text);
-    g_planSeed = seed;
-    g_planRequested = !g_planText.empty();
-}
-
-bool
-FaultPlanRequest::requested()
-{
-    return g_planRequested;
-}
-
-void
-FaultPlanRequest::reset()
-{
-    g_planText.clear();
-    g_planSeed = 0;
-    g_planRequested = false;
-}
-
-const std::string&
-FaultPlanRequest::planText()
-{
-    return g_planText;
-}
-
-std::uint64_t
-FaultPlanRequest::seed()
-{
-    return g_planSeed;
 }
 
 } // namespace cg::sim

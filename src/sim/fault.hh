@@ -196,27 +196,6 @@ class FaultPlan
     StatGroup statGroup_;
 };
 
-/**
- * Process-global fault-plan request, set by the benchmark harness
- * (`--faults <plan>` / `--fault-seed <n>` in bench/common.hh) and
- * applied by every Testbed it constructs: unlike ObservabilityRequest
- * there is no claim — each run in a sweep arms the same plan against
- * its own seed, so the whole sweep stays deterministic.
- */
-class FaultPlanRequest
-{
-  public:
-    static void configure(std::string plan_text, std::uint64_t seed);
-
-    static bool requested();
-
-    /** Forget the request (tests). */
-    static void reset();
-
-    static const std::string& planText();
-    static std::uint64_t seed();
-};
-
 } // namespace cg::sim
 
 #endif // CG_SIM_FAULT_HH

@@ -1,6 +1,5 @@
 #include "sim/trace.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <set>
 #include <utility>
@@ -231,63 +230,6 @@ Tracer::writeFile(const std::string& path) const
         return false;
     }
     return true;
-}
-
-// -------------------------------------------------- ObservabilityRequest
-
-namespace {
-
-std::string g_statsPath;
-std::string g_tracePath;
-bool g_requested = false;
-std::atomic<bool> g_claimed{false};
-
-} // namespace
-
-void
-ObservabilityRequest::configure(std::string stats_path,
-                                std::string trace_path)
-{
-    g_statsPath = std::move(stats_path);
-    g_tracePath = std::move(trace_path);
-    g_requested = !g_statsPath.empty() || !g_tracePath.empty();
-    g_claimed.store(false);
-}
-
-bool
-ObservabilityRequest::requested()
-{
-    return g_requested;
-}
-
-bool
-ObservabilityRequest::claim()
-{
-    if (!g_requested)
-        return false;
-    bool expected = false;
-    return g_claimed.compare_exchange_strong(expected, true);
-}
-
-void
-ObservabilityRequest::reset()
-{
-    g_statsPath.clear();
-    g_tracePath.clear();
-    g_requested = false;
-    g_claimed.store(false);
-}
-
-const std::string&
-ObservabilityRequest::statsPath()
-{
-    return g_statsPath;
-}
-
-const std::string&
-ObservabilityRequest::tracePath()
-{
-    return g_tracePath;
 }
 
 } // namespace cg::sim

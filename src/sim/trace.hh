@@ -108,32 +108,6 @@ class Tracer
     std::uint64_t dropped_ = 0;
 };
 
-/**
- * Process-global observability request, set by the benchmark harness
- * (`--stats <path>` / `--trace <path>` in bench/common.hh). The first
- * Testbed constructed after the request claims it and becomes the
- * observed run: it enables its simulation's tracer and writes the
- * requested files on destruction. claim() is atomic, so parallel
- * sweeps observe exactly one of their runs.
- */
-class ObservabilityRequest
-{
-  public:
-    static void configure(std::string stats_path,
-                          std::string trace_path);
-
-    static bool requested();
-
-    /** True exactly once per configure() (thread-safe). */
-    static bool claim();
-
-    /** Forget the request and any claim (tests). */
-    static void reset();
-
-    static const std::string& statsPath();
-    static const std::string& tracePath();
-};
-
 } // namespace cg::sim
 
 #endif // CG_SIM_TRACE_HH

@@ -1,5 +1,7 @@
 #include "workloads/testbed.hh"
 
+#include <utility>
+
 #include "sim/simulation.hh"
 
 namespace cg::workloads {
@@ -30,7 +32,7 @@ isGapped(RunMode m)
            m == RunMode::CoreGappedNoDelegation;
 }
 
-Testbed::Testbed(Config cfg) : cfg_(cfg)
+Testbed::Testbed(Config cfg) : cfg_(std::move(cfg))
 {
     sim_ = std::make_unique<sim::Simulation>(cfg_.seed);
     hw::MachineConfig mcfg;
@@ -50,37 +52,36 @@ Testbed::Testbed(Config cfg) : cfg_(cfg)
     machine_->gic().registerStats(sim_->stats());
     doorbell_->registerStats(sim_->stats());
 
-    // --stats/--trace from the bench harness: exactly one Testbed per
-    // process claims the request (sweeps build many testbeds in
-    // parallel; the first one constructed is the one observed).
-    observed_ = sim::ObservabilityRequest::claim();
-    if (observed_ && !sim::ObservabilityRequest::tracePath().empty())
+    // A run with an output path is observed: fault and checker stats
+    // join its dump only then, so unobserved runs register nothing
+    // beyond the components' own stats.
+    const RunOptions& opts = cfg_.run;
+    const bool observed =
+        !opts.statsPath.empty() || !opts.tracePath.empty();
+    if (!opts.tracePath.empty())
         sim_->tracer().enable();
 
-    // --faults from the bench harness: unlike --stats/--trace there is
-    // no claim — every testbed in a sweep arms the same plan, each
-    // mixed with its own simulation seed, so the sweep as a whole
-    // stays deterministic (I9).
-    if (sim::FaultPlanRequest::requested()) {
+    // Each testbed mixes the plan seed with its own simulation seed, so
+    // the runs of a sweep draw independent streams and the sweep as a
+    // whole stays deterministic (I9).
+    if (!opts.faults.empty()) {
         sim_->faults().arm(
-            sim::FaultPlanRequest::seed() ^
-                (cfg_.seed * 0x9e3779b97f4a7c15ull),
-            sim::FaultPlan::parse(sim::FaultPlanRequest::planText()));
-        if (observed_)
+            opts.faultSeed ^ (cfg_.seed * 0x9e3779b97f4a7c15ull),
+            opts.faults);
+        if (observed)
             sim_->faults().registerStats(sim_->stats());
     }
 
-    // --check from the bench harness: like --faults every testbed in a
-    // sweep gets its own checker. The checker is pure observation, so
-    // arming it cannot change any simulated result.
-    if (check::CheckRequest::requested()) {
+    // The checker is pure observation, so arming it cannot change any
+    // simulated result.
+    if (opts.check) {
         check::IsolationChecker::Config ccfg;
-        ccfg.abortOnLeak = check::CheckRequest::abortOnLeak();
+        ccfg.abortOnLeak = opts.abortOnLeak;
         checker_ = std::make_unique<check::IsolationChecker>(
             sim_->queue(), ccfg);
         machine_->attachChecker(checker_.get());
         checker_->setTracer(&sim_->tracer());
-        if (observed_)
+        if (observed)
             checker_->registerStats(sim_->stats());
     }
 }
@@ -88,15 +89,17 @@ Testbed::Testbed(Config cfg) : cfg_(cfg)
 void
 Testbed::writeObservability()
 {
-    if (!observed_ || observabilityWritten_)
+    if (observabilityWritten_)
         return;
     observabilityWritten_ = true;
-    const std::string& sp = sim::ObservabilityRequest::statsPath();
-    const std::string& tp = sim::ObservabilityRequest::tracePath();
-    if (!sp.empty())
-        sim_->stats().writeFile(sp);
-    if (!tp.empty())
-        sim_->tracer().writeFile(tp);
+    const RunOptions& opts = cfg_.run;
+    bool ok = true;
+    if (!opts.statsPath.empty())
+        ok = sim_->stats().writeFile(opts.statsPath) && ok;
+    if (!opts.tracePath.empty())
+        ok = sim_->tracer().writeFile(opts.tracePath) && ok;
+    if (!ok && opts.writeFailed)
+        *opts.writeFailed = true;
 }
 
 Testbed::~Testbed()

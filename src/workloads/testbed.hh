@@ -21,6 +21,7 @@
 #include "core/doorbell.hh"
 #include "core/gapped_vm.hh"
 #include "core/planner.hh"
+#include "sim/fault.hh"
 #include "vmm/disk.hh"
 #include "vmm/kvm.hh"
 #include "vmm/netfabric.hh"
@@ -44,6 +45,33 @@ enum class RunMode {
 
 const char* runModeName(RunMode m);
 bool isGapped(RunMode m);
+
+/**
+ * What a run is asked to do besides simulating: observe itself, inject
+ * faults, check isolation. The bench harness fills it from argv
+ * (bench::runOptions()); the default is a bare run. None of it changes
+ * a simulated result except the fault plan.
+ */
+struct RunOptions {
+    /** Dump the stats registry here when the run ends (".json"
+     * suffix selects JSON); empty: no dump. */
+    std::string statsPath;
+    /** Record tracepoints and write them here as Chrome trace_event
+     * JSON when the run ends; empty: tracer off. */
+    std::string tracePath;
+    /** Fault plan to arm (FaultPlan::parse); empty: disarmed. */
+    std::vector<sim::FaultSpec> faults;
+    /** Seed for the plan's probabilistic triggers, mixed with the
+     * testbed seed so every run of a sweep draws its own stream. */
+    std::uint64_t faultSeed = 1;
+    /** Build and attach an isolation checker. */
+    bool check = false;
+    /** The checker panics on its first leak edge. */
+    bool abortOnLeak = false;
+    /** Set to true when the stats or trace file cannot be written;
+     * the flag must outlive the testbed. */
+    bool* writeFailed = nullptr;
+};
 
 /** One VM with its runner and optional devices. */
 struct VmInstance {
@@ -80,6 +108,8 @@ class Testbed
          * rmm::RmmConfig::verifyScrubs. Fault-armed soaks turn this
          * on to run leak-free. */
         bool verifyScrubs = false;
+        /** Observation, faults and checking for this run. */
+        RunOptions run{};
     };
 
     explicit Testbed(Config cfg);
@@ -94,7 +124,7 @@ class Testbed
     RunMode mode() const { return cfg_.mode; }
     const Config& config() const { return cfg_; }
 
-    /** The isolation checker, when `--check` armed one (else null). */
+    /** The isolation checker, when run.check armed one (else null). */
     check::IsolationChecker* checker() { return checker_.get(); }
 
     /**
@@ -168,11 +198,11 @@ class Testbed
     Tick run(Tick limit = sim::maxTick);
 
     /**
-     * Write the claimed --stats/--trace outputs now, while workload
-     * objects whose StatGroups detach on destruction are still
-     * registered. Idempotent; the destructor calls it as a fallback
-     * for benches that never do (covering everything owned by the
-     * testbed itself).
+     * Write run.statsPath/run.tracePath now, while workload objects
+     * whose StatGroups detach on destruction are still registered.
+     * Idempotent; the destructor calls it as a fallback for benches
+     * that never do (covering everything owned by the testbed
+     * itself). A failed write sets *run.writeFailed.
      */
     void writeObservability();
 
@@ -208,7 +238,6 @@ class Testbed
     sim::Gate started_;
     int nextCore_ = 0;
     int startFailures_ = 0;
-    bool observed_ = false; ///< this testbed owns --stats/--trace output
     bool observabilityWritten_ = false;
     int nextDomain_ = sim::firstVmDomain;
     std::uint64_t nextMmioBase_ = 0x0a000000;

@@ -389,18 +389,17 @@ TEST(CheckMustFire, RttCopyStallInjectionIsDetectedAndRecovered)
 
 TEST(CheckMustFire, RequestPlumbingBuildsACheckerPerTestbed)
 {
-    // The --check flag path: CheckRequest makes every Testbed build
-    // and attach its own checker.
-    check::CheckRequest::configure(/*abort_on_leak=*/false);
+    // The --check flag path: run.check makes a Testbed build and
+    // attach its own checker.
     {
         Testbed::Config cfg;
         cfg.numCores = 4;
         cfg.mode = RunMode::CoreGapped;
+        cfg.run.check = true;
         Testbed bed(cfg);
         ASSERT_NE(bed.checker(), nullptr);
         EXPECT_EQ(bed.machine().checker(), bed.checker());
     }
-    check::CheckRequest::reset();
     {
         Testbed::Config cfg;
         cfg.numCores = 4;

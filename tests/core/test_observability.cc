@@ -198,3 +198,24 @@ TEST(Observability, StatsDumpCoversTheWholeTestbed)
     EXPECT_NE(json.find("\"kind\": \"latency\""), std::string::npos);
     EXPECT_NE(json.find("\"kind\": \"value\""), std::string::npos);
 }
+
+TEST(Observability, UnwritableOutputSetsWriteFailed)
+{
+    // A full disk under --stats or --trace must reach the harness,
+    // which fails the run on it; a good path must not.
+    const std::string good = testing::TempDir() + "observability_out";
+    for (const char* path : {"/dev/full", good.c_str()}) {
+        for (const bool stats : {true, false}) {
+            bool failed = false;
+            {
+                Testbed::Config cfg;
+                cfg.numCores = 4;
+                (stats ? cfg.run.statsPath : cfg.run.tracePath) = path;
+                cfg.run.writeFailed = &failed;
+                Testbed bed(cfg);
+            }
+            EXPECT_EQ(failed, path != good.c_str())
+                << path << (stats ? " as --stats" : " as --trace");
+        }
+    }
+}

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/fault.hh"
@@ -250,19 +251,57 @@ TEST(FaultPlanParse, OutOfRangeSpecsAreRejectedOnAdd)
     EXPECT_THROW(plan.add(bad_window), FatalError);
 }
 
-// ----------------------------------------------------- harness request
+namespace {
 
-TEST(FaultPlanRequest, ConfigureApplyReset)
+/** What parse() rejects @p text with ("" if it accepts it). */
+std::string
+parseError(const std::string& text)
 {
-    FaultPlanRequest::reset();
-    EXPECT_FALSE(FaultPlanRequest::requested());
-    FaultPlanRequest::configure("ipi-drop:nth=1", 99);
-    EXPECT_TRUE(FaultPlanRequest::requested());
-    EXPECT_EQ(FaultPlanRequest::planText(), "ipi-drop:nth=1");
-    EXPECT_EQ(FaultPlanRequest::seed(), 99u);
-    FaultPlanRequest::reset();
-    EXPECT_FALSE(FaultPlanRequest::requested());
-    // An empty plan text is not a request.
-    FaultPlanRequest::configure("", 1);
-    EXPECT_FALSE(FaultPlanRequest::requested());
+    try {
+        FaultPlan::parse(text);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+// Each of these once parsed to a plan that ran: stoull wraps a sign,
+// stoull/stod stop at the first junk character, and NaN compares
+// false against both ends of [0,1].
+TEST(FaultPlanParseRejects, NegativeNth)
+{
+    EXPECT_EQ(parseError("ipi-drop:nth=-1"), "fault plan: bad count '-1'");
+}
+
+TEST(FaultPlanParseRejects, NegativeMax)
+{
+    EXPECT_EQ(parseError("ipi-drop:max=-2"), "fault plan: bad count '-2'");
+}
+
+TEST(FaultPlanParseRejects, TrailingJunkInACount)
+{
+    EXPECT_EQ(parseError("ipi-drop:nth=5x"), "fault plan: bad count '5x'");
+}
+
+TEST(FaultPlanParseRejects, NanProbability)
+{
+    EXPECT_EQ(parseError("ipi-drop:p=nan"),
+              "fault spec probability nan out of [0,1]");
+}
+
+TEST(FaultPlanParseRejects, TrailingJunkInAProbability)
+{
+    EXPECT_EQ(parseError("ipi-drop:p=0.5junk"),
+              "fault plan: bad probability '0.5junk'");
+}
+
+TEST(FaultPlanParseRejects, NonFiniteOrOversizedTime)
+{
+    EXPECT_EQ(parseError("ipi-drop:from=nan"), "fault plan: bad time 'nan'");
+    EXPECT_EQ(parseError("ipi-drop:until=inf"),
+              "fault plan: time 'inf' out of range");
+    EXPECT_EQ(parseError("ipi-drop:until=1e30s"),
+              "fault plan: time '1e30s' out of range");
 }

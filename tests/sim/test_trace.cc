@@ -194,25 +194,3 @@ TEST(Tracer, WriteFileReportsAFullDisk)
         t.instant("b", Tracer::coresPid, i);
     EXPECT_FALSE(t.writeFile("/dev/full"));
 }
-
-TEST(ObservabilityRequest, ClaimIsExactlyOnce)
-{
-    ObservabilityRequest::reset();
-    EXPECT_FALSE(ObservabilityRequest::requested());
-    EXPECT_FALSE(ObservabilityRequest::claim());
-
-    ObservabilityRequest::configure("/tmp/x.txt", "");
-    EXPECT_TRUE(ObservabilityRequest::requested());
-    EXPECT_EQ(ObservabilityRequest::statsPath(), "/tmp/x.txt");
-    EXPECT_TRUE(ObservabilityRequest::tracePath().empty());
-    EXPECT_TRUE(ObservabilityRequest::claim());
-    EXPECT_FALSE(ObservabilityRequest::claim());
-
-    // A fresh configure() re-arms the claim.
-    ObservabilityRequest::configure("", "/tmp/y.json");
-    EXPECT_TRUE(ObservabilityRequest::claim());
-    EXPECT_FALSE(ObservabilityRequest::claim());
-
-    ObservabilityRequest::reset();
-    EXPECT_FALSE(ObservabilityRequest::requested());
-}

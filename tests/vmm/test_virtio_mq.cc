@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "check/checker.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "workloads/nic.hh"
@@ -22,7 +21,6 @@
 namespace sim = cg::sim;
 namespace guest = cg::guest;
 namespace vmm = cg::vmm;
-namespace check = cg::check;
 using namespace cg::workloads;
 using guest::VCpu;
 using sim::Proc;
@@ -286,12 +284,13 @@ struct MqRunSnapshot {
 };
 
 MqRunSnapshot
-runMqScenario(std::uint64_t seed)
+runMqScenario(std::uint64_t seed, bool check = false)
 {
     Testbed::Config cfg;
     cfg.numCores = 8;
     cfg.mode = RunMode::SharedCore;
     cfg.seed = seed;
+    cfg.run.check = check;
     Testbed bed(cfg);
     VmInstance& vm = bed.createVm("g", 4);
     Testbed::MqNicOptions opt;
@@ -349,9 +348,7 @@ TEST(MqVirtioNetDeterminism, CheckArmingDoesNotPerturbEventOrder)
     // The isolation checker is pure observation: arming it must not
     // change the simulated event order by a single tick.
     const MqRunSnapshot plain = runMqScenario(0xabc);
-    check::CheckRequest::configure(/*abort_on_leak=*/false);
-    const MqRunSnapshot checked = runMqScenario(0xabc);
-    check::CheckRequest::reset();
+    const MqRunSnapshot checked = runMqScenario(0xabc, /*check=*/true);
     EXPECT_TRUE(plain == checked)
         << "--check arming perturbed the multi-queue event order";
 }
