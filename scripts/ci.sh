@@ -28,12 +28,16 @@
 #                   actually fail a run (a checker that cannot fire is
 #                   worse than none)
 #   5. perfbench: each of the benchmark's three workloads once
-#              (seed 1, 1 s, untraced; cvm-churn traced too) plus the
+#              untraced and once traced (seed 1, 1 s), plus the
 #              perfbench self-test. The driver exits non-zero unless
 #              its end-state checks pass: every I/O and GET answered,
 #              zero leak edges, an empty planner, every core online,
 #              migrationsStarted == committed + aborted, and every
-#              instance bit-identical to the first
+#              instance bit-identical to the first. Traced instances
+#              step one event at a time, where a Compute never runs
+#              ahead (DESIGN.md §6 item 7), while untraced blk-sync and
+#              kv-openloop run ahead, so the traced runs of those two
+#              are a run()-versus-step() equivalence gate
 #   6. perf:   tools/perf-gate -- build Release and compare
 #              sim_microbench events/sec against the committed
 #              BENCH_PR<N>.json baseline; >10% regression fails. The
@@ -98,8 +102,10 @@ for workload in blk-sync kv-openloop cvm-churn; do
     python3 perfbench/run.py --workload "$workload" --seed 1 \
         --seconds 1 --trace 0
 done
-python3 perfbench/run.py --workload cvm-churn --seed 1 --seconds 1 \
-    --trace 1
+for workload in blk-sync kv-openloop cvm-churn; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace 1
+done
 cmake --build .bench_build/perfbench --target perfbench_selftest
 ctest --test-dir .bench_build/perfbench --output-on-failure
 

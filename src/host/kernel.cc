@@ -174,6 +174,38 @@ Kernel::detach(Process& p)
     t.needsResume_ = false;
 }
 
+bool
+Kernel::runAhead(Process& p, Tick amount, bool cpu)
+{
+    // Only a Compute of a thread that its own run event is resuming:
+    // that event's dispatch epilogue then stands in for the skipped
+    // one's. Fall back wherever the skipped events would have done more
+    // than resume the thread: extend the run by pending steal, replace
+    // an armed run event, or arm a timeslice in scheduleRun.
+    Thread& t = threadOf(p);
+    if (!cpu || !t.runResumed_ || !t.onCpu_)
+        return false;
+    CoreSched& cs = cores_[static_cast<size_t>(t.lastCore_)];
+    const Tick work = cs.pendingSwitchCost + amount;
+    if (cs.pendingSteal > 0 || cs.runEvent != sim::invalidEventId)
+        return false;
+    if (t.schedClass() == SchedClass::Fair && !cs.fairQueue.empty() &&
+        cs.timesliceEvent == sim::invalidEventId && work > quantum)
+        return false;
+    if (!sim().queue().runAhead(sim().now() + work))
+        return false;
+    // What scheduleRun and the skipped onRunEvent would have done.
+    cs.pendingSwitchCost = 0;
+    if (cs.timesliceEvent != sim::invalidEventId) {
+        sim().queue().cancel(cs.timesliceEvent);
+        cs.timesliceEvent = sim::invalidEventId;
+    }
+    t.wantsCpu_ = false;
+    t.remaining_ = 0;
+    t.needsResume_ = false;
+    return true;
+}
+
 void
 Kernel::abandonGuestRun(Thread& t)
 {
@@ -278,6 +310,10 @@ Kernel::finishGuestRun(Thread& t)
                   "guest-mode thread '%s' in unexpected state",
                   t.name().c_str());
         p.wake(); // routes via Kernel::wake -> resumeNow (on CPU)
+        // If the thread gave up the CPU during the resume, find new
+        // work, as onRunEvent does.
+        if (!cs.current)
+            scheduleDispatch(c);
     } else {
         // The thread was preempted; the guest is already paused. Just
         // arrange for the coroutine to resume at its next dispatch.
@@ -553,6 +589,7 @@ Kernel::onRunEvent(CoreId c)
     Process& p = t->process();
     // Resume the coroutine: it may ask for more CPU (stays current),
     // block (core goes idle / redispatches), or finish (detach).
+    t->runResumed_ = true;
     if (p.state() == Process::State::Blocked)
         p.wake(); // routes back to Kernel::wake -> resumeNow
     else if (p.state() == Process::State::Ready)
@@ -560,6 +597,7 @@ Kernel::onRunEvent(CoreId c)
     else
         sim::panic("run event for thread '%s' in unexpected state",
                    t->name().c_str());
+    t->runResumed_ = false;
     // If the thread gave up the CPU during the resume, find new work.
     if (!cs.current)
         scheduleDispatch(c);

@@ -120,6 +120,8 @@ class Thread
     bool needsResume_ = false; ///< coroutine must resume once on-CPU
     GuestExecutor* guestRun_ = nullptr; ///< in guest mode (KVM_RUN)
     bool guestEndPending_ = false; ///< exit-ready event scheduled
+    /** onRunEvent is resuming the coroutine (Kernel::runAhead). */
+    bool runResumed_ = false;
 };
 
 /** State the kernel keeps per physical core. */
@@ -243,6 +245,7 @@ class Kernel : public sim::Dispatcher
     void blocked(sim::Process& p) override;
     void wake(sim::Process& p) override;
     void detach(sim::Process& p) override;
+    bool runAhead(sim::Process& p, Tick amount, bool cpu) override;
     /** @} */
 
     /** The thread owning @p p (asserts it is one of ours). */

@@ -252,15 +252,49 @@ EventQueue::consumeOne()
     return true;
 }
 
+struct EventQueue::RunScope {
+    EventQueue& q;
+    const bool running;
+    const Tick limit;
+
+    RunScope(EventQueue& queue, bool run, Tick lim)
+        : q(queue), running(queue.running_), limit(queue.limit_)
+    {
+        q.running_ = run;
+        q.limit_ = lim;
+    }
+
+    ~RunScope()
+    {
+        q.running_ = running;
+        q.limit_ = limit;
+    }
+};
+
 bool
 EventQueue::step()
 {
+    const RunScope scope(*this, false, now_);
     return consumeOne();
+}
+
+bool
+EventQueue::runAhead(Tick when)
+{
+    CG_ASSERT(when >= now_, "running ahead into the past");
+    if (!running_ || when > limit_)
+        return false;
+    const Entry* top = peekMin();
+    if (top && top->when <= when)
+        return false; // it runs first, even when tied with `when`
+    now_ = when;
+    return true;
 }
 
 Tick
 EventQueue::run(Tick limit)
 {
+    const RunScope scope(*this, true, limit);
     for (;;) {
         const Entry* top = peekMin();
         if (!top)

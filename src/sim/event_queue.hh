@@ -141,6 +141,19 @@ class EventQueue
     /** Execute a single event if one exists. @return false if empty. */
     bool step();
 
+    /** True while run() is executing events; false under step(). */
+    bool running() const { return running_; }
+
+    /**
+     * Run-ahead (DESIGN.md §6 item 7): move now() to @p when and return
+     * true if this is inside run(limit), @p when <= limit and no live
+     * event is pending at or before @p when. The caller then does in
+     * place what an event at @p when would have done: no other event
+     * could have run first, so event order is unchanged. Never true
+     * under step(), whose caller acts between single events.
+     */
+    bool runAhead(Tick when);
+
   private:
     /**
      * Callback storage: fixed-size chunks, addresses stable for the
@@ -300,7 +313,14 @@ class EventQueue
     /** Pop and run the earliest live event; false if none (drained). */
     bool consumeOne();
 
+    /** Sets running_/limit_ for one run() or step() and restores the
+     * enclosing call's on exit, also when a callback throws. */
+    struct RunScope;
+
     Tick now_ = 0;
+    /** Inside run(), and that run's limit (see runAhead()). */
+    bool running_ = false;
+    Tick limit_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::size_t live_ = 0;
     /** Stale entries still held in the run or the heap. */

@@ -12,6 +12,10 @@
  *   co_await gate.wait();  block until signalled (see sync.hh)
  *   co_await child(args);  run a sub-process to completion (same Process)
  *
+ * Under EventQueue::run, a Delay or Compute that nothing else is due
+ * before the end of may finish in place, without suspending (run-ahead,
+ * DESIGN.md §6 item 7); the coroutine sees the same times either way.
+ *
  * Each top-level spawned coroutine gets a Process control block that tracks
  * its state and its Dispatcher. Dispatchers give the same coroutine code
  * different execution semantics: free-running (hardware, firmware on a
@@ -74,6 +78,25 @@ class Dispatcher
 
     /** @p p finished or was killed; drop any scheduling state for it. */
     virtual void detach(Process& p) = 0;
+
+    /**
+     * Run-ahead (DESIGN.md §6 item 7): @p p, running, is about to wait
+     * @p amount, on CPU when @p cpu (Compute) or asleep (Delay). Return
+     * true after finishing the wait in place — time moved on by
+     * EventQueue::runAhead and every effect of the wait's completion
+     * event applied — so the coroutine goes on without suspending.
+     * Only sound while that same kind of event is resuming @p p, so
+     * that its epilogue stands in for the skipped one's. The default
+     * always takes the event path.
+     */
+    virtual bool
+    runAhead(Process& p, Tick amount, bool cpu)
+    {
+        (void)p;
+        (void)amount;
+        (void)cpu;
+        return false;
+    }
 };
 
 /** Coroutine return object for simulated processes. */
@@ -196,6 +219,15 @@ class Process
     Waitable* waitingOn() const { return waitingOn_; }
     void setPendingEvent(EventId id) { pendingEvent_ = id; }
     EventId pendingEvent() const { return pendingEvent_; }
+
+    /** A wait may ask the dispatcher to run ahead: only inside
+     * EventQueue::run, and never after a kill was requested, which
+     * takes effect at the next suspension. */
+    bool
+    mayRunAhead() const
+    {
+        return queue_.running() && !killRequested_;
+    }
     /** @} */
 
     /** Opaque per-dispatcher slot (e.g. points at the owning Thread). */
@@ -211,16 +243,17 @@ class Process
     void finish();
 
     Simulation& sim_;
+    const EventQueue& queue_; ///< sim_'s, for the inline mayRunAhead()
     Dispatcher* disp_;
     std::string name_;
     std::uint64_t serial_ = 0; ///< set by Simulation::spawnOn
     State state_ = State::Ready;
+    bool killRequested_ = false;
     std::coroutine_handle<detail::ProcPromise<void>> top_{};
     std::coroutine_handle<> resumePoint_{};
     Waitable* waitingOn_ = nullptr;
     EventId pendingEvent_ = invalidEventId;
     std::unique_ptr<Notify> doneNotify_;
-    bool killRequested_ = false;
 
     friend struct detail::FinalAwaiter;
 };
@@ -349,12 +382,16 @@ struct Delay {
     bool await_ready() const { return amount == 0; }
 
     template <typename P>
-    void
+    bool
     await_suspend(std::coroutine_handle<P> h) const
     {
         Process& proc = detail::processOf(h);
+        if (proc.mayRunAhead() &&
+            proc.dispatcher().runAhead(proc, amount, false))
+            return false;
         proc.suspendAt(h);
         sleepProcess(proc, amount);
+        return true;
     }
 
     void await_resume() const {}
@@ -370,12 +407,16 @@ struct Compute {
     bool await_ready() const { return amount == 0; }
 
     template <typename P>
-    void
+    bool
     await_suspend(std::coroutine_handle<P> h) const
     {
         Process& proc = detail::processOf(h);
+        if (proc.mayRunAhead() &&
+            proc.dispatcher().runAhead(proc, amount, true))
+            return false;
         proc.suspendAt(h);
         proc.dispatcher().compute(proc, amount);
+        return true;
     }
 
     void await_resume() const {}
@@ -395,6 +436,7 @@ class FreeDispatcher : public Dispatcher
     void blocked(Process& p) override;
     void wake(Process& p) override;
     void detach(Process& p) override;
+    bool runAhead(Process& p, Tick amount, bool cpu) override;
 
   private:
     EventQueue& queue_;

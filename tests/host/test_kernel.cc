@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "host/kernel.hh"
@@ -108,6 +110,74 @@ onlineThenFlag(Kernel& k, sim::CoreId c, bool& done)
 {
     co_await k.onlineCore(c);
     done = true;
+}
+
+/** A non-confidential guest that has an exit ready @p runFor after
+ * it is first entered, and records when that was. */
+class StubGuest : public GuestExecutor
+{
+  public:
+    StubGuest(Simulation& sim, Tick run_for) : sim_(sim), runFor_(run_for)
+    {}
+
+    Tick exitAt = 0;
+
+    void
+    enterOn(sim::CoreId) override
+    {
+        if (exitEvent_ != sim::invalidEventId || ready_)
+            return;
+        exitEvent_ = sim_.queue().scheduleIn(runFor_, [this] {
+            exitEvent_ = sim::invalidEventId;
+            ready_ = true;
+            exitAt = sim_.now();
+            if (hook_)
+                hook_();
+        });
+    }
+
+    void
+    pause() override
+    {
+        sim_.queue().cancel(exitEvent_);
+        exitEvent_ = sim::invalidEventId;
+    }
+
+    bool exitReady() const override { return ready_; }
+
+    void
+    setExitReadyHook(std::function<void()> fn) override
+    {
+        hook_ = std::move(fn);
+    }
+
+    void setAbandonHook(std::function<void()>) override {}
+    sim::DomainId executorDomain() const override
+    {
+        return sim::firstVmDomain;
+    }
+    bool confidential() const override { return false; }
+
+  private:
+    Simulation& sim_;
+    Tick runFor_;
+    sim::EventId exitEvent_ = sim::invalidEventId;
+    bool ready_ = false;
+    std::function<void()> hook_;
+};
+
+Proc<void>
+guestThenWait(Kernel& k, GuestExecutor& g, sim::Notify& n)
+{
+    co_await k.runGuest(g);
+    co_await n.wait();
+}
+
+Proc<void>
+recordStart(Simulation& sim, Tick& started)
+{
+    started = sim.now();
+    co_return;
 }
 
 } // namespace
@@ -347,4 +417,21 @@ TEST_F(KernelFixture, ThreadFinishLeavesCoreUsable)
     sim.run();
     EXPECT_GT(d1, 0u);
     EXPECT_GT(d2, d1);
+}
+
+TEST_F(KernelFixture, GuestExitThatBlocksHandsTheCoreOn)
+{
+    // A blocks on a Notify right after its guest exit; Fair B is queued
+    // behind it on the only core. The exit must dispatch B at once, as
+    // a run event's resume does when the thread gives up the CPU.
+    boot(1);
+    StubGuest guest(sim, 100 * usec);
+    sim::Notify never;
+    Tick b_started = 0;
+    kernel->createThread("a", guestThenWait(*kernel, guest, never));
+    kernel->createThread("b", recordStart(sim, b_started));
+    sim.run();
+    ASSERT_GT(guest.exitAt, 0u);
+    EXPECT_GE(b_started, guest.exitAt);
+    EXPECT_LT(b_started, guest.exitAt + 50 * usec);
 }

@@ -314,6 +314,98 @@ TEST(EventQueue, RunWithoutLimitLeavesNowAtLastEvent)
 // consumed gap, by shifting the suffix up); interleaved with tail
 // appends, the pop order must still be the strict (when, insertion)
 // total order.
+TEST(EventQueue, RunAheadIsFalseOutsideRun)
+{
+    EventQueue q;
+    EXPECT_FALSE(q.running());
+    EXPECT_FALSE(q.runAhead(10 * nsec));
+    // Nor inside step(): its caller acts between single events.
+    bool ahead = true, running = true;
+    q.schedule(5 * nsec, [&] {
+        running = q.running();
+        ahead = q.runAhead(10 * nsec);
+    });
+    EXPECT_TRUE(q.step());
+    EXPECT_FALSE(running);
+    EXPECT_FALSE(ahead);
+    EXPECT_EQ(q.now(), 5 * nsec);
+}
+
+TEST(EventQueue, RunAheadStopsAtTheRunLimit)
+{
+    EventQueue q;
+    bool past = true, at = false;
+    Tick after = 0;
+    q.schedule(10 * nsec, [&] {
+        at = q.runAhead(100 * nsec); // the limit itself still runs
+        after = q.now();
+        past = q.runAhead(101 * nsec);
+    });
+    EXPECT_EQ(q.run(100 * nsec), 100 * nsec);
+    EXPECT_FALSE(past);
+    EXPECT_TRUE(at);
+    EXPECT_EQ(after, 100 * nsec);
+    EXPECT_FALSE(q.running());
+}
+
+TEST(EventQueue, RunAheadLosesATieToAPendingEvent)
+{
+    EventQueue q;
+    std::vector<int> order;
+    bool tie = true, before = false;
+    q.schedule(10 * nsec, [&] {
+        before = q.runAhead(49 * nsec);
+        tie = q.runAhead(50 * nsec); // the event at 50 was first
+        order.push_back(1);
+    });
+    q.schedule(50 * nsec, [&] { order.push_back(2); });
+    q.run();
+    EXPECT_FALSE(tie);
+    EXPECT_TRUE(before);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(q.now(), 50 * nsec);
+}
+
+TEST(EventQueue, RunAheadPassesCancelledEntries)
+{
+    EventQueue q;
+    bool ahead = false;
+    int cancelled_ran = 0;
+    q.schedule(10 * nsec, [&] { ahead = q.runAhead(60 * nsec); });
+    const EventId a = q.schedule(20 * nsec, [&] { ++cancelled_ran; });
+    const EventId b = q.schedule(60 * nsec, [&] { ++cancelled_ran; });
+    EXPECT_TRUE(q.cancel(a));
+    EXPECT_TRUE(q.cancel(b));
+    q.run();
+    EXPECT_TRUE(ahead);
+    EXPECT_EQ(cancelled_ran, 0);
+    EXPECT_EQ(q.now(), 60 * nsec);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, NestedRunRestoresTheOuterRunState)
+{
+    EventQueue q;
+    bool inner_past = true, inner_at = false, outer_after = false;
+    bool running_after = false;
+    q.schedule(10 * nsec, [&] {
+        q.schedule(15 * nsec, [&] {
+            inner_at = q.runAhead(20 * nsec);
+            inner_past = q.runAhead(30 * nsec); // inner limit is 20
+        });
+        q.run(20 * nsec);
+        running_after = q.running();
+        outer_after = q.runAhead(90 * nsec); // outer limit is 100
+    });
+    q.run(100 * nsec);
+    EXPECT_FALSE(inner_past);
+    EXPECT_TRUE(inner_at);
+    EXPECT_TRUE(running_after);
+    EXPECT_TRUE(outer_after);
+    EXPECT_FALSE(q.running());
+    EXPECT_EQ(q.now(), 100 * nsec);
+}
+
 TEST(EventQueue, TieBreakAcrossInOrderAndOutOfOrderArrivals)
 {
     EventQueue q;

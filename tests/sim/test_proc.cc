@@ -121,6 +121,18 @@ pushNow(std::vector<int>& log, int v)
     co_return;
 }
 
+/** Computes @p before chunks, requests its own kill, then tries one
+ * more chunk; @p after counts what ran past that request. */
+Proc<void>
+selfKiller(Process*& self, int before, int& after)
+{
+    for (int i = 0; i < before; ++i)
+        co_await Compute{10 * nsec};
+    self->kill();
+    co_await Compute{10 * nsec};
+    ++after;
+}
+
 Proc<void>
 spawnerBody(Simulation& sim, std::vector<int>& log)
 {
@@ -295,4 +307,20 @@ TEST(Proc, SpawnFromInsideProcess)
     sim.spawn("outer", spawnerBody(sim, log));
     sim.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Proc, SelfKillStopsAtTheNextComputeUnderRunAhead)
+{
+    // Nothing else is pending, so each Compute could finish in place
+    // under run(); the kill request must still end the process at the
+    // Compute after it.
+    Simulation sim;
+    Process* self = nullptr;
+    int after = 0;
+    self = &sim.spawn("k", selfKiller(self, 5, after));
+    sim.run(1 * sec);
+    EXPECT_TRUE(self->done());
+    EXPECT_EQ(after, 0);
+    EXPECT_EQ(sim.now(), 1 * sec);
+    EXPECT_TRUE(sim.queue().empty());
 }
