@@ -326,24 +326,24 @@ Kernel::finishGuestRun(Thread& t)
 // ------------------------------------------------------------ scheduling
 
 CoreId
-Kernel::pickCore(const Thread& t) const
+pickCore(const std::vector<CoreSched>& cores, CpuMask affinity,
+         CoreId last)
 {
     CoreId best = sim::invalidCore;
     std::size_t best_load = ~0ull;
-    // Prefer the cache-warm last core when it is eligible and no more
-    // loaded than the alternatives.
-    for (CoreId c = 0; c < machine_.numCores(); ++c) {
-        const CoreSched& cs = cores_[static_cast<size_t>(c)];
-        if (!cs.online || !t.affinity().test(c))
+    std::uint64_t bits = affinity.bits();
+    if (cores.size() < 64)
+        bits &= (1ull << cores.size()) - 1;
+    // Ascending core order, as a scan of every core would visit them.
+    for (; bits != 0; bits &= bits - 1) {
+        const CoreId c = __builtin_ctzll(bits);
+        const CoreSched& cs = cores[static_cast<size_t>(c)];
+        if (!cs.online)
             continue;
-        std::size_t load = cs.fifoQueue.size() + cs.fairQueue.size() +
-                           (cs.current ? 1 : 0);
-        if (c == t.lastCore() && load <= best_load) {
-            best = c;
-            best_load = load;
-            continue;
-        }
-        if (load < best_load) {
+        const std::size_t load = cs.fifoQueue.size() +
+                                 cs.fairQueue.size() +
+                                 (cs.current ? 1 : 0);
+        if (c == last ? load <= best_load : load < best_load) {
             best = c;
             best_load = load;
         }
@@ -356,7 +356,7 @@ Kernel::enqueue(Thread& t)
 {
     CG_ASSERT(!t.queued_ && !t.onCpu_, "enqueue of running thread '%s'",
               t.name().c_str());
-    CoreId c = pickCore(t);
+    CoreId c = pickCore(cores_, t.affinity(), t.lastCore());
     if (c == sim::invalidCore) {
         // All affine cores are offline; Linux breaks affinity rather
         // than lose the thread.

@@ -143,6 +143,15 @@ struct CoreSched {
     Tick pendingSteal = 0;
 };
 
+/**
+ * The core to queue a thread with @p affinity and last core @p last
+ * on: the least-loaded online core of @p cores in the affinity, with
+ * the cache-warm @p last winning ties; invalidCore if none is online.
+ * Visits only the affinity's set bits below cores.size().
+ */
+CoreId pickCore(const std::vector<CoreSched>& cores, CpuMask affinity,
+                CoreId last);
+
 /** Statistics the kernel exports. */
 struct KernelStats {
     sim::Counter contextSwitches;
@@ -270,7 +279,6 @@ class Kernel : public sim::Dispatcher
     Proc<bool> onlineCoreImpl(CoreId c);
     void enqueue(Thread& t);
     void requeueTail(Thread& t);
-    CoreId pickCore(const Thread& t) const;
     void maybePreempt(CoreId c);
     void dispatch(CoreId c);
     void startRunning(CoreId c, Thread& t);

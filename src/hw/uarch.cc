@@ -8,10 +8,12 @@
 namespace cg::hw {
 
 TaggedStructure::TaggedStructure(std::string name, std::size_t capacity,
-                                 Tick refill_per_entry)
+                                 Tick refill_per_entry,
+                                 std::uint64_t* epoch)
     : name_(std::move(name)),
       capacity_(capacity),
-      refillPerEntry_(refill_per_entry)
+      refillPerEntry_(refill_per_entry),
+      epoch_(epoch)
 {
     CG_ASSERT(capacity_ > 0, "structure '%s' has zero capacity",
               name_.c_str());
@@ -56,6 +58,7 @@ TaggedStructure::touch(DomainId d, std::size_t entries)
     // eviction is fair regardless of iteration order. The loops sweep
     // the dense counts_ array; doms_ is consulted only to skip the
     // toucher and to name fully-evicted victims to the checker.
+    noteLoss();
     const std::size_t total_overflow = used_ - capacity_;
     std::size_t overflow = total_overflow;
     CG_ASSERT(others >= overflow, "eviction accounting broken in '%s'",
@@ -124,6 +127,7 @@ TaggedStructure::flushAll()
     doms_.clear();
     counts_.clear();
     used_ = 0;
+    noteLoss();
     if (checker_)
         checker_->onFlushAll(checkId_);
 }
@@ -142,6 +146,7 @@ TaggedStructure::flushDomain(DomainId d)
     used_ -= counts_[i];
     doms_.erase(doms_.begin() + i);
     counts_.erase(counts_.begin() + i);
+    noteLoss();
     if (checker_)
         checker_->onFlushDomain(checkId_, d);
 }
@@ -171,12 +176,13 @@ constexpr std::size_t stagingEntries = 16;
 } // namespace
 
 CoreUarch::CoreUarch(const Costs& costs)
-    : l1i("l1i", l1iEntries, costs.l1RefillPerEntry),
-      l1d("l1d", l1dEntries, costs.l1RefillPerEntry),
-      l2("l2", l2Entries, costs.l2RefillPerEntry),
-      tlb("tlb", tlbEntries, costs.tlbRefillPerEntry),
-      btb("btb", btbEntries, costs.btbRefillPerEntry),
-      storeBuffer("store-buffer", sbEntries, costs.l1RefillPerEntry)
+    : l1i("l1i", l1iEntries, costs.l1RefillPerEntry, &epoch_),
+      l1d("l1d", l1dEntries, costs.l1RefillPerEntry, &epoch_),
+      l2("l2", l2Entries, costs.l2RefillPerEntry, &epoch_),
+      tlb("tlb", tlbEntries, costs.tlbRefillPerEntry, &epoch_),
+      btb("btb", btbEntries, costs.btbRefillPerEntry, &epoch_),
+      storeBuffer("store-buffer", sbEntries, costs.l1RefillPerEntry,
+                  &epoch_)
 {}
 
 std::vector<TaggedStructure*>
@@ -198,9 +204,23 @@ CoreUarch::mitigationFlush()
     storeBuffer.flushAll();
 }
 
+bool
+CoreUarch::resident(DomainId d, std::size_t footprint) const
+{
+    // Each structure's target below grows with the footprint, and only
+    // a loss (which advances epoch_) can take entries from d, so every
+    // touch would find its target resident and every warm-up term is 0.
+    return d == memoDomain_ && footprint <= memoFootprint_ &&
+           epoch_ == memoEpoch_ && !l1i.checked() && !l1d.checked() &&
+           !l2.checked() && !tlb.checked() && !btb.checked() &&
+           !storeBuffer.checked();
+}
+
 void
 CoreUarch::run(DomainId d, std::size_t footprint)
 {
+    if (resident(d, footprint))
+        return;
     // Instruction-side structures see a fraction of the data footprint;
     // the TLB sees pages (footprint is expressed in cache lines).
     l1d.touch(d, footprint);
@@ -209,11 +229,16 @@ CoreUarch::run(DomainId d, std::size_t footprint)
     tlb.touch(d, std::max<std::size_t>(1, footprint / 64));
     btb.touch(d, std::max<std::size_t>(1, footprint / 2));
     storeBuffer.touch(d, sbEntries);
+    memoDomain_ = d;
+    memoFootprint_ = footprint;
+    memoEpoch_ = epoch_;
 }
 
 Tick
 CoreUarch::warmupCost(DomainId d, std::size_t footprint) const
 {
+    if (resident(d, footprint))
+        return 0;
     Tick total = 0;
     total += l1d.warmupCost(d, footprint);
     total += l1i.warmupCost(d, std::max<std::size_t>(1, footprint / 4));

@@ -23,6 +23,7 @@
 #define CG_HW_UARCH_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,12 @@ using sim::Tick;
 class TaggedStructure
 {
   public:
+    /**
+     * @p epoch, when given, is incremented whenever any domain loses
+     * entries here (eviction, flush); CoreUarch's warm-up memo reads it.
+     */
     TaggedStructure(std::string name, std::size_t capacity,
-                    Tick refill_per_entry);
+                    Tick refill_per_entry, std::uint64_t* epoch = nullptr);
 
     const std::string& name() const { return name_; }
     std::size_t capacity() const { return capacity_; }
@@ -60,6 +65,9 @@ class TaggedStructure
         checker_ = checker;
         checkId_ = sid;
     }
+
+    /** A checker is bound (bindChecker with a non-null checker). */
+    bool checked() const { return checker_ != nullptr; }
 
     /**
      * Domain @p d references a working set of @p entries entries.
@@ -129,6 +137,13 @@ class TaggedStructure
      * warm-up accounting — are not attacker observations). */
     std::size_t residentCount(DomainId d) const;
 
+    /** Some domain lost entries: advance the owner's epoch. */
+    void noteLoss()
+    {
+        if (epoch_)
+            ++*epoch_;
+    }
+
     std::string name_;
     std::size_t capacity_;
     Tick refillPerEntry_;
@@ -137,13 +152,26 @@ class TaggedStructure
     CountVec counts_; ///< counts_[i] belongs to doms_[i]
     check::IsolationChecker* checker_ = nullptr;
     int checkId_ = -1;
+    std::uint64_t* epoch_;
 };
 
-/** Per-core private microarchitectural state. */
+/**
+ * Per-core private microarchitectural state.
+ *
+ * run() and warmupCost() remember the last run: while no structure
+ * has lost an entry since (the shared epoch is unchanged), that
+ * domain's working set up to that footprint is still resident, so a
+ * repeat run() changes nothing and its warm-up cost is 0. The memo is
+ * bypassed while a checker is bound, since every touch is an event.
+ * Non-copyable and non-movable: the structures point at the epoch.
+ */
 class CoreUarch
 {
   public:
     explicit CoreUarch(const Costs& costs);
+
+    CoreUarch(const CoreUarch&) = delete;
+    CoreUarch& operator=(const CoreUarch&) = delete;
 
     TaggedStructure l1i;
     TaggedStructure l1d;
@@ -169,6 +197,16 @@ class CoreUarch
 
     /** Total warm-up cost for @p d across all structures. */
     Tick warmupCost(DomainId d, std::size_t footprint) const;
+
+  private:
+    /** @p d last ran here with at least @p footprint, nothing was
+     * lost since, and no checker is watching. */
+    bool resident(DomainId d, std::size_t footprint) const;
+
+    std::uint64_t epoch_ = 0;
+    DomainId memoDomain_ = sim::invalidDomain;
+    std::size_t memoFootprint_ = 0;
+    std::uint64_t memoEpoch_ = 0;
 };
 
 /** Structures shared between cores (out of core gapping's scope). */

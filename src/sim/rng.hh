@@ -64,6 +64,10 @@ class Rng
      *
      * Returns max(0, normal(nominal, rel_sd * nominal)) as a Tick. Used by
      * cost models to produce realistic +/- spreads deterministically.
+     * Bit-identical to truncating that normal() expression, but it
+     * usually takes the deviate's sine or cosine from a fast
+     * approximation and proves the truncation unaffected (DESIGN.md
+     * section 6, item 8).
      */
     Tick jittered(Tick nominal, double rel_sd);
 
@@ -71,9 +75,33 @@ class Rng
     Rng fork();
 
   private:
+    friend struct RngInspector;
+
+    /**
+     * sin and cos of 2*pi*u for u in [0, 1), from a table of whole
+     * 1/256 turns and short polynomials; within ~1.1e-15 of libm's
+     * sin/cos of theta = 2.0 * M_PI * u.
+     */
+    static void sinCosTurn(double u, double& s, double& c);
+
+    /**
+     * Draw a fresh Box-Muller pair: set @p r and @p theta, keep the
+     * sine half as the spare, and return the fast cosine of theta.
+     */
+    double drawPair(double& r, double& theta);
+
     std::uint64_t s_[4];
-    bool haveSpareNormal_ = false;
-    double spareNormal_ = 0.0;
+    /**
+     * The spare half of the last pair, kept lazy: its deviate is
+     * spareR_ * std::sin(spareTheta_), and spareSin_ is the fast sine
+     * of spareTheta_.
+     */
+    bool haveSpare_ = false;
+    double spareR_ = 0.0;
+    double spareTheta_ = 0.0;
+    double spareSin_ = 0.0;
+    /** jittered() calls that needed libm's sin/cos (for tests). */
+    std::uint64_t jitterFallbacks_ = 0;
 };
 
 } // namespace cg::sim

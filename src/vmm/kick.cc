@@ -25,19 +25,20 @@ KickBroker::kick(guest::VCpu& v)
 }
 
 void
-KickGate::publishArmed(sim::Tick delay, std::function<void()> on_visible)
+KickGate::publishArmed(sim::Tick delay)
 {
     if (armed_ || pending_ != sim::invalidEventId)
         return;
     ++publishes_;
-    pending_ = queue_.scheduleIn(
-        delay, [this, fn = std::move(on_visible)] {
-            pending_ = sim::invalidEventId;
-            armed_ = true;
-            // The flag is now guest-visible; close the lost-kick
-            // window by re-checking for work that raced the publish.
-            fn();
-        });
+    // Captures only `this`, so the event fits EventFn's inline buffer
+    // and a publish does not allocate.
+    pending_ = queue_.scheduleIn(delay, [this] {
+        pending_ = sim::invalidEventId;
+        armed_ = true;
+        // The flag is now guest-visible; close the lost-kick window by
+        // re-checking for work that raced the publish.
+        onVisible_();
+    });
 }
 
 void

@@ -53,14 +53,17 @@ class KickBroker
  * publishArmed(). That wire delay opens the classic EVENT_IDX lost-kick
  * window — a descriptor pushed after the device decided to sleep but
  * before the armed flag lands is kicked by neither side. Correct
- * backends therefore pass an @c on_visible callback that re-checks the
- * ring *after* the publish lands and self-notifies if work slipped in.
- * Skipping that recheck is the bug FaultSite::VirtioLostKick restores.
+ * backends therefore give the gate an @c on_visible callback that
+ * re-checks the ring *after* each publish lands and self-notifies if
+ * work slipped in. Skipping that recheck is the bug
+ * FaultSite::VirtioLostKick restores.
  */
 class KickGate
 {
   public:
-    explicit KickGate(sim::EventQueue& q) : queue_(q) {}
+    KickGate(sim::EventQueue& q, std::function<void()> on_visible)
+        : queue_(q), onVisible_(std::move(on_visible))
+    {}
     ~KickGate() { queue_.cancel(pending_); }
 
     KickGate(const KickGate&) = delete;
@@ -80,11 +83,11 @@ class KickGate
 
     /**
      * Device is about to sleep: schedule the armed flag to become
-     * guest-visible after @p delay, then run @p on_visible (the ring
-     * recheck). No-op if already armed or a publish is in flight, so
-     * the wait loop may call this on every iteration.
+     * guest-visible after @p delay, then run the gate's on_visible
+     * callback (the ring recheck). No-op if already armed or a publish
+     * is in flight, so the wait loop may call this on every iteration.
      */
-    void publishArmed(sim::Tick delay, std::function<void()> on_visible);
+    void publishArmed(sim::Tick delay);
 
     /** Publishes that were still in flight when the device woke up
      * for another reason (RX traffic, a rescue recheck). */
@@ -92,6 +95,7 @@ class KickGate
 
   private:
     sim::EventQueue& queue_;
+    std::function<void()> onVisible_;
     bool armed_ = true; ///< device starts receptive: first kick lands
     sim::EventId pending_ = sim::invalidEventId;
     std::uint64_t publishes_ = 0;

@@ -24,7 +24,8 @@ copyCost(std::uint64_t bytes, double bytes_per_sec)
 
 VirtioNet::VirtioNet(KvmVm& vm, NetworkFabric& fabric, Config cfg)
     : vm_(vm), fabric_(fabric), cfg_(cfg),
-      kickGate_(vm.kernel().machine().sim().queue())
+      kickGate_(vm.kernel().machine().sim().queue(),
+                [this] { recheckAfterPublish(); })
 {
     port_ = fabric_.attach([this](const Packet& p) { onFabricRx(p); });
     MmioRange r;
@@ -143,8 +144,7 @@ VirtioNet::ioThreadBody()
             // About to sleep: re-arm the guest-visible kick flag. The
             // recheck runs when the publish lands, closing the window
             // against descriptors pushed while it was in flight.
-            kickGate_.publishArmed(publishDelay(),
-                                   [this] { recheckAfterPublish(); });
+            kickGate_.publishArmed(publishDelay());
             co_await ioNotify_.wait();
         }
         kickGate_.disarm(); // draining: kicks are redundant until idle

@@ -41,7 +41,8 @@ MqVirtioNet::MqVirtioNet(KvmVm& vm, NetworkFabric& fabric, Config cfg)
     host::Kernel& k = vm_.kernel();
     sim::EventQueue& eq = k.machine().sim().queue();
     for (int q = 0; q < cfg_.numQueues; ++q) {
-        queues_.push_back(std::make_unique<Queue>(eq));
+        queues_.push_back(std::make_unique<Queue>(
+            eq, [this, q] { recheckAfterPublish(q); }));
         const hw::IntId virq = cfg_.irqBase + q;
         vm_.guestVm().vcpu(irqVcpu(q)).setVirqHandler(
             virq, [this, q] { onGuestIrq(q); });
@@ -271,8 +272,7 @@ MqVirtioNet::ioThreadBody(int qi)
     const hw::Costs& costs = m.costs();
     for (;;) {
         while (q.txRing.empty() && q.rxBacklog.empty()) {
-            q.kickGate.publishArmed(
-                publishDelay(), [this, qi] { recheckAfterPublish(qi); });
+            q.kickGate.publishArmed(publishDelay());
             co_await q.ioNotify.wait();
         }
         q.kickGate.disarm(); // draining: kicks are redundant until idle

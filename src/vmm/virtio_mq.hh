@@ -127,7 +127,9 @@ class MqVirtioNet
 
     /** Everything one queue pair owns. */
     struct Queue {
-        explicit Queue(sim::EventQueue& q) : kickGate(q) {}
+        Queue(sim::EventQueue& q, std::function<void()> on_visible)
+            : kickGate(q, std::move(on_visible))
+        {}
 
         std::deque<TxReq> txRing;
         std::deque<Packet> rxBacklog;

@@ -435,3 +435,78 @@ TEST_F(KernelFixture, GuestExitThatBlocksHandsTheCoreOn)
     EXPECT_GE(b_started, guest.exitAt);
     EXPECT_LT(b_started, guest.exitAt + 50 * usec);
 }
+
+namespace {
+
+/** pickCore() as a scan of every core, the rule it must keep. */
+CoreId
+pickCoreByFullScan(const std::vector<CoreSched>& cores, CpuMask affinity,
+                   CoreId last)
+{
+    CoreId best = sim::invalidCore;
+    std::size_t best_load = ~0ull;
+    for (CoreId c = 0; c < static_cast<CoreId>(cores.size()); ++c) {
+        const CoreSched& cs = cores[static_cast<size_t>(c)];
+        if (!cs.online || !affinity.test(c))
+            continue;
+        std::size_t load = cs.fifoQueue.size() + cs.fairQueue.size() +
+                           (cs.current ? 1 : 0);
+        if (c == last && load <= best_load) {
+            best = c;
+            best_load = load;
+            continue;
+        }
+        if (load < best_load) {
+            best = c;
+            best_load = load;
+        }
+    }
+    return best;
+}
+
+} // namespace
+
+TEST_F(KernelFixture, PickCoreMatchesFullScan)
+{
+    // Random machines, loads, offline cores and affinities, including
+    // bits at or above the core count; loads of 0..2 make ties common,
+    // and the last core is usually in the affinity.
+    boot(1);
+    Tick unused = 0;
+    Thread& running = kernel->createThread("t", computeOnce(sim, 1, unused));
+    sim::Rng rng(97);
+    int last_core_ties = 0;
+    for (int i = 0; i < 100000; ++i) {
+        std::vector<CoreSched> cores(rng.uniformInt(1, 64));
+        for (CoreSched& cs : cores) {
+            cs.online = rng.chance(0.8);
+            cs.fairQueue.resize(rng.uniformInt(0, 1));
+            cs.fifoQueue.resize(rng.chance(0.2) ? 1 : 0);
+            if (rng.chance(0.3))
+                cs.current = &running;
+        }
+        CpuMask affinity;
+        switch (rng.uniformInt(0, 3)) {
+          case 0: affinity = CpuMask::single(
+                      static_cast<CoreId>(rng.uniformInt(0, 63)));
+                  break;
+          case 1: affinity = CpuMask(rng.next64()); break;
+          case 2: affinity = CpuMask(rng.next64() & rng.next64()); break;
+          default: affinity = CpuMask::all(); break;
+        }
+        CoreId last = sim::invalidCore;
+        if (rng.chance(0.8)) {
+            last = static_cast<CoreId>(rng.uniformInt(0, 63));
+            if (rng.chance(0.7) && !affinity.empty())
+                last = __builtin_ctzll(affinity.bits());
+        }
+        const CoreId want = pickCoreByFullScan(cores, affinity, last);
+        ASSERT_EQ(pickCore(cores, affinity, last), want)
+            << "case " << i << ": " << cores.size() << " cores, affinity "
+            << std::hex << affinity.bits() << std::dec << ", last " << last;
+        if (want != pickCoreByFullScan(cores, affinity, sim::invalidCore))
+            ++last_core_ties;
+    }
+    // The last core won a tie against a lower core that many times.
+    EXPECT_GT(last_core_ties, 500);
+}
