@@ -14,6 +14,9 @@
  *   - migration bookkeeping in lockstep: the RMM's started count
  *     equals committed + aborted, and the controllers' outcome tally
  *     equals the ops issued;
+ *   - granule conservation: every granule the monitor tracks belongs
+ *     to a live realm (teardown undelegates a destroyed realm's), so
+ *     nothing is tracked once the soak drains;
  *   - bounded stat drift: checker events per op stay under a fixed
  *     ceiling (a runaway feedback loop would blow it).
  *
@@ -302,6 +305,12 @@ main(int argc, char** argv)
         std::uint64_t outcomes = t.committed + t.rolledBack + t.refused;
         if (outcomes != t.migrateOps)
             fail("migration outcome tally drift");
+        const cg::rmm::GranuleTracker& granules = bed.rmm().granules();
+        std::size_t owned = 0;
+        for (const auto& s : live)
+            owned += granules.owned(s->inst->kvm->realmId()).size();
+        if (granules.trackedCount() != owned)
+            fail("tracked granules != the live realms' granules");
         const std::uint64_t ev = checker->eventCount();
         if (t.ops > last_ckpt_ops) {
             const double per_op =
@@ -487,6 +496,8 @@ main(int argc, char** argv)
     checkpoint();
     if (planner.reservedCores() != static_cast<int>(t.quarantined))
         fail("cores leaked after full drain");
+    if (bed.rmm().granules().trackedCount() != 0)
+        fail("granules still tracked after full drain");
 
     const sim::FaultPlan& faults = bed.sim().faults();
     std::printf("\n  soak summary\n");

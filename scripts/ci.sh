@@ -15,7 +15,10 @@
 #              destroy soak, fault sites armed, checker on) run twice;
 #              the two outputs and the two --stats dumps must be
 #              byte-identical (the dump gates the stats registry's
-#              name order and its values, not only stdout)
+#              name order and its values, not only stdout). Then a
+#              1300-op soak (306 realms, where the smoke makes 3; about
+#              7 s) must exit 0: its checkpoints fail on any granule
+#              the monitor tracks that no live realm owns
 #   4. check:  the isolation-checker gate --
 #                a. fig7, fig8 and fig9 each under --check twice and
 #                   once disarmed; every run must succeed and all three
@@ -77,13 +80,14 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> [3/8] churn soak replay (two runs, diffed)"
+echo "==> [3/8] churn soak replay (two runs, diffed) + 1300-op soak"
 build/bench/ext_soak_churn --quick --check \
     --stats build/soak_replay_a_stats.txt > build/soak_replay_a.txt
 build/bench/ext_soak_churn --quick --check \
     --stats build/soak_replay_b_stats.txt > build/soak_replay_b.txt
 diff build/soak_replay_a.txt build/soak_replay_b.txt
 diff build/soak_replay_a_stats.txt build/soak_replay_b_stats.txt
+build/bench/ext_soak_churn --ops 1300 --check > build/soak_1300.txt
 
 echo "==> [4/8] isolation-checker gate"
 for bench in fig7_multi_vm fig8_netpipe fig9_iozone; do

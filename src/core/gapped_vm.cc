@@ -246,9 +246,9 @@ GappedVm::teardown()
     host::Kernel& kernel = kvm_.kernel();
     hw::Machine& machine = kernel.machine();
     const sim::DomainId guest_domain = kvm_.guestVm().domain();
-    // Destroy RECs: this is what releases the dedicated-core binding.
-    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
-        rmm_.recDestroy(realm_, i);
+    // Destroy the realm: its RECs first, which releases the
+    // dedicated-core bindings, and every granule goes back to the host.
+    vmm::destroyRealm(rmm_, kernel, realm_);
     stopMonitors_ = true;
     monitorWork_.notifyAll();
     // Reclaim the cores: the monitor scrubs the guest's (and its own)
@@ -262,7 +262,6 @@ GappedVm::teardown()
         co_await sim::Delay{t};
         co_await onlineWithRetry(core);
     }
-    rmm_.realmDestroy(realm_);
     releasePlannerReservations();
 }
 

@@ -85,9 +85,10 @@ class GappedVm
     sim::Proc<bool> start();
 
     /**
-     * After guest shutdown: destroy RECs (releasing the core binding),
-     * scrub the dedicated cores of guest residue, stop monitor loops,
-     * and hotplug the cores back online.
+     * After guest shutdown: destroy the realm (vmm::destroyRealm: RECs,
+     * which releases the core bindings, then the realm, then its
+     * granules go back to the host), stop monitor loops, scrub the
+     * dedicated cores of guest residue, and hotplug them back online.
      */
     sim::Proc<void> teardown();
 

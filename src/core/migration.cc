@@ -9,7 +9,6 @@
 
 namespace cg::core {
 
-using rmm::granuleSize;
 using rmm::PhysAddr;
 using rmm::RmiStatus;
 using sim::CoreId;
@@ -55,26 +54,14 @@ MigrationController::registerStats(sim::StatRegistry& reg)
     statGroup_.add("copyRetries", copyRetries_);
 }
 
-PhysAddr
-MigrationController::nextWindowBase()
-{
-    // Disjoint from every createRealmFor() window ((domain + 0x100)
-    // << 32) and from every other migration's: (domain, seq) -> base
-    // is injective while seq < 2^12 (a window is 2^24 bytes = 4096
-    // granules, far above any realm's granule count).
-    CG_ASSERT(seq_ < (1ull << 12), "migration window space exhausted");
-    const auto domain = static_cast<std::uint64_t>(
-        vm_.kvm_.guestVm().domain());
-    return (0x5ull << 44) + (domain << 36) + (seq_++ << 24);
-}
-
 sim::Proc<void>
 MigrationController::rollbackAttempt(
     const std::vector<CoreId>& dest_taken, bool prepared,
-    std::size_t delegated, PhysAddr base, bool monitors_retired)
+    const std::vector<PhysAddr>& dest_granules, bool monitors_retired)
 {
     rmm::Rmm& rmm = vm_.rmm_;
-    hw::Machine& machine = vm_.kvm_.kernel().machine();
+    host::Kernel& kernel = vm_.kvm_.kernel();
+    hw::Machine& machine = kernel.machine();
 
     // Undo the RMM's side: abort restores core bindings and releases
     // the partial destination copy back to Delegated.
@@ -84,14 +71,9 @@ MigrationController::rollbackAttempt(
         CG_ASSERT(s == RmiStatus::Success, "migrateAbort failed: %s",
                   rmm::rmiStatusName(s));
     }
-    // The destination window returns to the host.
-    for (std::size_t i = 0; i < delegated; ++i) {
-        const RmiStatus s =
-            rmm.granuleUndelegate(base + i * granuleSize);
-        CG_ASSERT(s == RmiStatus::Success,
-                  "rollback undelegate failed: %s",
-                  rmm::rmiStatusName(s));
-    }
+    // The destination granules return to the host.
+    for (PhysAddr g : dest_granules)
+        vmm::undelegateGranule(rmm, kernel, g);
     // Destination cores go back online. No guest ever ran there, but
     // the monitor owned them: scrub its residue first (I10), exactly
     // like a failed start().
@@ -153,7 +135,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     if (abort_injected()) {
         sim.faults().noteDetected(sim::FaultSite::MigrationAbort);
         abort_out = true;
-        co_await rollbackAttempt({}, false, 0, 0, false);
+        co_await rollbackAttempt({}, false, {}, false);
         co_return false;
     }
 
@@ -167,22 +149,14 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
         sim::warn("%s: migratePrepare refused: %s", name.c_str(),
                   rmm::rmiStatusName(s));
         refused_out = true;
-        co_await rollbackAttempt({}, false, 0, 0, false);
+        co_await rollbackAttempt({}, false, {}, false);
         co_return false;
     }
 
-    // 3. Delegate the destination window.
-    const std::size_t total = rmm.migrationGranuleCount(realm);
-    const PhysAddr base = nextWindowBase();
-    for (std::size_t i = 0; i < total; ++i) {
-        s = rmm.granuleDelegate(base + i * granuleSize);
-        if (s != RmiStatus::Success) {
-            sim::warn("%s: migration delegate failed: %s",
-                      name.c_str(), rmm::rmiStatusName(s));
-            co_await rollbackAttempt({}, true, i, base, false);
-            co_return false;
-        }
-    }
+    // 3. Delegate one destination granule per source granule.
+    std::vector<PhysAddr> dest_granules(rmm.migrationGranuleCount(realm));
+    for (PhysAddr& g : dest_granules)
+        g = vmm::delegateGranule(rmm, kernel);
 
     // 4. Copy, in batches, with stall retry/backoff. The RMM charges
     //    nothing (same contract as every RMI); the control plane
@@ -192,7 +166,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     bool stalled = false;
     while (rmm.migrationPhase(realm) != rmm::MigrationPhase::Copied) {
         std::size_t copied = 0;
-        s = rmm.migrateCopy(realm, base, cfg_.copyBatch, copied);
+        s = rmm.migrateCopy(realm, dest_granules, cfg_.copyBatch, copied);
         if (s == RmiStatus::Busy) {
             // An injected rtt-copy-stall bounced the batch. Back off
             // (doubling) and resume from the cursor.
@@ -205,7 +179,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
             if (++stall_retries > cfg_.maxCopyRetries) {
                 sim::warn("%s: migration copy stalled %d times; "
                           "rolling back", name.c_str(), stall_retries);
-                co_await rollbackAttempt({}, true, total, base, false);
+                co_await rollbackAttempt({}, true, dest_granules, false);
                 co_return false;
             }
             co_await sim::Delay{backoff};
@@ -215,7 +189,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
         if (s != RmiStatus::Success) {
             sim::warn("%s: migrateCopy failed: %s", name.c_str(),
                       rmm::rmiStatusName(s));
-            co_await rollbackAttempt({}, true, total, base, false);
+            co_await rollbackAttempt({}, true, dest_granules, false);
             co_return false;
         }
         if (stalled) {
@@ -231,7 +205,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     if (abort_injected()) {
         sim.faults().noteDetected(sim::FaultSite::MigrationAbort);
         abort_out = true;
-        co_await rollbackAttempt({}, true, total, base, false);
+        co_await rollbackAttempt({}, true, dest_granules, false);
         co_return false;
     }
 
@@ -262,8 +236,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
         if (!ok) {
             sim::warn("%s: migration could not dedicate core %d; "
                       "rolling back", name.c_str(), core);
-            co_await rollbackAttempt(dest_taken, true, total, base,
-                                     true);
+            co_await rollbackAttempt(dest_taken, true, dest_granules, true);
             co_return false;
         }
         co_await sim::Delay{
@@ -281,8 +254,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
         if (s != RmiStatus::Success) {
             sim::warn("%s: migrateBindRec(%d) refused: %s",
                       name.c_str(), i, rmm::rmiStatusName(s));
-            co_await rollbackAttempt(dest_taken, true, total, base,
-                                     true);
+            co_await rollbackAttempt(dest_taken, true, dest_granules, true);
             co_return false;
         }
     }
@@ -290,12 +262,12 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     if (abort_injected()) {
         sim.faults().noteDetected(sim::FaultSite::MigrationAbort);
         abort_out = true;
-        co_await rollbackAttempt(dest_taken, true, total, base, true);
+        co_await rollbackAttempt(dest_taken, true, dest_granules, true);
         co_return false;
     }
 
-    // 8. Commit: every granule reference rewrites to the destination
-    //    window and the source granules release. Point of no return.
+    // 8. Commit: every granule reference rewrites to its destination
+    //    and the source granules release. Point of no return.
     s = rmm.migrateCommit(realm);
     CG_ASSERT(s == RmiStatus::Success, "migrateCommit failed: %s",
               rmm::rmiStatusName(s));
@@ -332,13 +304,8 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
         co_await vm_.onlineWithRetry(core);
     }
     // The released source granules return to the host.
-    for (const auto& [addr, state] : src_granules) {
-        (void)state;
-        const RmiStatus us = rmm.granuleUndelegate(addr);
-        CG_ASSERT(us == RmiStatus::Success,
-                  "source undelegate failed: %s",
-                  rmm::rmiStatusName(us));
-    }
+    for (const auto& [g, state] : src_granules)
+        vmm::undelegateGranule(rmm, kernel, g);
 
     vm_.resume();
     co_return true;

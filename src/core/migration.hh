@@ -10,7 +10,7 @@
  *
  *   pause (bounded)   -> trySuspend: park every vCPU run loop
  *   prepare           -> rmm::migratePrepare snapshots granules+bindings
- *   copy (resumable)  -> delegate a destination window, batched
+ *   copy (resumable)  -> delegate destination granules, batched
  *                        migrateCopy with stall retry/backoff
  *   switch cores      -> retire source monitor loops, dedicate the
  *                        destination pool via hotplug, migrateBindRec
@@ -97,19 +97,16 @@ class MigrationController
      * migration-abort (noteRecovered fires on a later commit). */
     sim::Proc<bool> attempt(const std::vector<sim::CoreId>& dest,
                             bool& refused_out, bool& abort_out);
-    /** Undo a partial attempt back to the source placement. */
+    /** Undo a partial attempt back to the source placement,
+     * undelegating @p dest_granules. */
     sim::Proc<void> rollbackAttempt(
         const std::vector<sim::CoreId>& dest_taken, bool prepared,
-        std::size_t delegated, rmm::PhysAddr base,
+        const std::vector<rmm::PhysAddr>& dest_granules,
         bool monitors_retired);
-    /** Fresh, collision-free destination granule window base. */
-    rmm::PhysAddr nextWindowBase();
 
     GappedVm& vm_;
     CorePlanner* planner_;
     MigrationConfig cfg_;
-    /** Per-VM migration sequence number (window addressing). */
-    std::uint64_t seq_ = 0;
     sim::Counter committed_;
     sim::Counter rolledBack_;
     sim::Counter refused_;

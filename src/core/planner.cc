@@ -177,26 +177,6 @@ CorePlanner::fragmentation() const
 }
 
 std::optional<std::vector<CoreId>>
-CorePlanner::reserveCompact(int n)
-{
-    if (n <= 0)
-        sim::fatal("planner: reserveCompact(%d)", n);
-    const auto runs = collectRuns(machine_.numCores(), [&](CoreId c) {
-        return !hostReserved_.test(c) &&
-               !reserved_[static_cast<size_t>(c)];
-    });
-    const auto best = tightestFit(runs, n);
-    if (!best)
-        return reserve(n); // no contiguous fit: NUMA best-fit fallback
-    std::vector<CoreId> out;
-    for (int i = 0; i < n; ++i)
-        out.push_back(best->start + i);
-    for (CoreId c : out)
-        reserved_[static_cast<size_t>(c)] = true;
-    return out;
-}
-
-std::optional<std::vector<CoreId>>
 CorePlanner::planDefragMove(const std::vector<CoreId>& current) const
 {
     if (current.empty())

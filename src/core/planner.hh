@@ -46,13 +46,6 @@ class CorePlanner
     void reserveExact(const std::vector<sim::CoreId>& cores);
 
     /**
-     * Defrag-aware placement: the tightest contiguous free run that
-     * fits @p n (ties to the lowest core id), falling back to
-     * reserve()'s NUMA best-fit when no contiguous run fits.
-     */
-    std::optional<std::vector<sim::CoreId>> reserveCompact(int n);
-
-    /**
      * Plan a defrag move for a VM currently holding @p current:
      * treating @p current as free, pick the tightest contiguous free
      * run (disjoint from @p current) that fits, and return it only if

@@ -103,13 +103,6 @@ class VCpu : public rmm::GuestContext,
     }
 
     /**
-     * Block the runner until the vCPU is worth re-entering: a pending
-     * exit-worthy event or an undelivered virtual interrupt (KVM's
-     * WFI block).
-     */
-    Proc<void> waitForRunnable();
-
-    /**
      * Notified whenever this vCPU becomes worth re-entering; external
      * producers (e.g. KVM's injection queue) may poke it too.
      */

@@ -25,14 +25,6 @@ Thread::done() const
     return proc_->done();
 }
 
-void
-Thread::setAffinity(CpuMask m)
-{
-    CG_ASSERT(!m.empty(), "empty affinity for thread '%s'",
-              name().c_str());
-    affinity_ = m;
-}
-
 Kernel::Kernel(hw::Machine& machine)
     : machine_(machine),
       cores_(static_cast<size_t>(machine.numCores()))
@@ -102,17 +94,36 @@ Kernel::threadOf(Process& p)
     return *static_cast<Thread*>(p.schedCookie);
 }
 
-Thread*
-Kernel::currentOn(CoreId c)
+// ----------------------------------------------------------------- memory
+
+std::uint64_t
+Kernel::allocPage()
 {
-    return cores_.at(static_cast<size_t>(c)).current;
+    if (freePages_.empty()) {
+        const std::uint64_t page = nextPage_;
+        nextPage_ += pageSize;
+        return page;
+    }
+    const std::uint64_t page = freePages_.back();
+    freePages_.pop_back();
+    return page;
+}
+
+void
+Kernel::freePage(std::uint64_t page)
+{
+    CG_ASSERT(page % pageSize == 0 && page >= firstPage &&
+                  page < nextPage_,
+              "freePage(0x%llx): not a page allocPage() handed out",
+              static_cast<unsigned long long>(page));
+    freePages_.push_back(page);
 }
 
 std::size_t
-Kernel::queuedOn(CoreId c) const
+Kernel::pagesInUse() const
 {
-    const CoreSched& cs = cores_.at(static_cast<size_t>(c));
-    return cs.fifoQueue.size() + cs.fairQueue.size();
+    return static_cast<std::size_t>((nextPage_ - firstPage) / pageSize) -
+           freePages_.size();
 }
 
 // ------------------------------------------------------------ dispatcher

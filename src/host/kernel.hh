@@ -13,6 +13,7 @@
 #ifndef CG_HOST_KERNEL_HH
 #define CG_HOST_KERNEL_HH
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -93,9 +94,6 @@ class Thread
     CoreId lastCore() const { return lastCore_; }
     bool onCpu() const { return onCpu_; }
     bool done() const;
-
-    /** Change affinity; a queued thread may migrate at next dispatch. */
-    void setAffinity(CpuMask m);
 
     /**
      * Working-set size in cache lines, used for microarchitectural
@@ -260,11 +258,21 @@ class Kernel : public sim::Dispatcher
     /** The thread owning @p p (asserts it is one of ours). */
     Thread& threadOf(sim::Process& p);
 
-    /** Current thread on a core (nullptr if idle). */
-    Thread* currentOn(CoreId c);
-
-    /** Number of runnable threads queued on @p c (excluding current). */
-    std::size_t queuedOn(CoreId c) const;
+    /**
+     * @{ Host physical memory: the page allocator every page the host
+     * delegates to the security monitor comes from (DESIGN.md §12).
+     * A LIFO free list over a bump pointer: the most recently freed
+     * page goes out first.
+     */
+    static constexpr std::uint64_t pageSize = 4096;
+    /** The first page handed out; 0 is never a page. */
+    static constexpr std::uint64_t firstPage = 0x80000000;
+    std::uint64_t allocPage();
+    /** Give back a page allocPage() handed out. */
+    void freePage(std::uint64_t page);
+    /** Pages handed out and not given back. */
+    std::size_t pagesInUse() const;
+    /** @} */
 
   private:
     friend struct YieldAwaiter;
@@ -298,6 +306,8 @@ class Kernel : public sim::Dispatcher
     std::map<int, std::function<void(CoreId)>> ipiHandlers_;
     std::map<hw::IntId, std::function<void(CoreId)>> irqHandlers_;
     int nextIpi_ = 8; // SGIs 0-7 modelled as reserved by Linux
+    std::uint64_t nextPage_ = firstPage;
+    std::vector<std::uint64_t> freePages_;
     KernelStats stats_;
     sim::StatGroup statGroup_;
 };

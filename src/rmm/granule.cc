@@ -206,4 +206,13 @@ GranuleTracker::countInState(GranuleState s) const
     return n;
 }
 
+std::size_t
+GranuleTracker::trackedCount() const
+{
+    std::size_t n = 0;
+    for (const auto& [key, block] : dir_)
+        n += block->tracked;
+    return n;
+}
+
 } // namespace cg::rmm

@@ -70,12 +70,7 @@ const char* rmiStatusName(RmiStatus s);
  * A block lives while it holds at least one tracked (not Undelegated)
  * granule. Beside the table, a per-realm index lists the granules each
  * realm owns, ascending, so owned() and releaseOwned() cost
- * O(granules the realm owns) rather than O(granules ever tracked).
- * Realm teardown leaves its granules Delegated in the table (nothing
- * undelegates them), so the table grows with every realm a testbed
- * has held. Those leftovers cost their blocks' bytes, and one step of
- * a lookup's binary search per doubling of the directory. The index
- * does not grow.
+ * O(granules the realm owns) rather than O(granules tracked).
  */
 class GranuleTracker
 {
@@ -111,6 +106,9 @@ class GranuleTracker
     /** Number of granules in a given state. */
     std::size_t countInState(GranuleState s) const;
 
+    /** Number of granules in any state but Undelegated. */
+    std::size_t trackedCount() const;
+
   private:
     struct Entry {
         GranuleState state = GranuleState::Undelegated;
@@ -118,13 +116,10 @@ class GranuleTracker
     };
 
     /**
-     * log2 of the granules per block, sized from cvm-churn's measured
-     * layout. A realm holds about 80 granules; a testbed ends with
-     * about 16.1k tracked entries, nearly all Delegated leftovers of
-     * destroyed realms. 64-granule blocks hold them in about 455
-     * blocks, and the perfbench driver's peak RSS on cvm-churn is
-     * 6.4 MB (7.9 MB with one tree node per entry). 512-granule blocks
-     * need only about 255, mostly empty, and it rises to 7.3 MB.
+     * log2 of the granules per block. A realm holds about 80
+     * granules, and the host hands out pages densely from one
+     * allocator, so cvm-churn's testbeds peak at 419 tracked entries
+     * in 7 blocks (DESIGN.md §12 has the history of this size).
      */
     static constexpr int blockShift = 6;
     static constexpr std::size_t blockGranules = std::size_t{1}

@@ -9,22 +9,6 @@ namespace cg::rmm {
 
 using sim::Compute;
 
-const char*
-migrationPhaseName(MigrationPhase p)
-{
-    switch (p) {
-      case MigrationPhase::Idle:
-        return "idle";
-      case MigrationPhase::Prepared:
-        return "prepared";
-      case MigrationPhase::Copying:
-        return "copying";
-      case MigrationPhase::Copied:
-        return "copied";
-    }
-    return "?";
-}
-
 Rmm::Rmm(hw::Machine& machine, RmmConfig cfg)
     : machine_(machine), cfg_(cfg), authority_(0x9a7f01c3b5d2e4f6ULL)
 {}
@@ -105,8 +89,7 @@ Rmm::realm(int id)
 {
     if (id < 0 || id >= static_cast<int>(realms_.size()))
         return nullptr;
-    Realm* r = realms_[static_cast<size_t>(id)].get();
-    return r->state == RealmState::Destroyed ? nullptr : r;
+    return realms_[static_cast<size_t>(id)].get();
 }
 
 RmiStatus
@@ -136,7 +119,7 @@ Rmm::realmDestroy(int realm_id)
     // Scrub and release every granule the realm owns (data, RTT, RD)
     // back to the Delegated state, ready for host undelegation.
     granules_.releaseOwned(r->id);
-    r->state = RealmState::Destroyed;
+    realms_[static_cast<size_t>(realm_id)].reset();
     return RmiStatus::Success;
 }
 
@@ -463,7 +446,7 @@ Rmm::migratePrepare(int realm_id)
 }
 
 RmiStatus
-Rmm::migrateCopy(int realm_id, PhysAddr dest_base,
+Rmm::migrateCopy(int realm_id, const std::vector<PhysAddr>& dest,
                  std::size_t max_granules, std::size_t& copied_out)
 {
     stats_.rmiCalls.inc();
@@ -476,13 +459,15 @@ Rmm::migrateCopy(int realm_id, PhysAddr dest_base,
         m.phase != MigrationPhase::Copying) {
         return RmiStatus::BadState;
     }
-    if (!granuleAligned(dest_base))
-        return RmiStatus::BadAddress;
     if (m.phase == MigrationPhase::Prepared) {
-        m.destBase = dest_base;
+        if (dest.size() != m.srcGranules.size())
+            return RmiStatus::BadArgs; // one granule per source granule
+        if (!std::all_of(dest.begin(), dest.end(), granuleAligned))
+            return RmiStatus::BadAddress;
+        m.dest = dest;
         m.phase = MigrationPhase::Copying;
-    } else if (dest_base != m.destBase) {
-        return RmiStatus::BadArgs; // one window per migration
+    } else if (dest != m.dest) {
+        return RmiStatus::BadArgs; // one destination list per migration
     }
     if (machine_.sim().faults().query(sim::FaultSite::RttCopyStall)) {
         // The copy engine stalled: no progress this batch. The control
@@ -495,17 +480,14 @@ Rmm::migrateCopy(int realm_id, PhysAddr dest_base,
             ? m.srcGranules.size()
             : std::min(m.srcGranules.size(), m.copied + max_granules);
     while (m.copied < end) {
-        const auto& [src, state] = m.srcGranules[m.copied];
-        const PhysAddr dst =
-            m.destBase + m.copied * granuleSize;
-        // The host must have delegated the whole destination window.
-        const RmiStatus s = granules_.assign(dst, state, realm_id);
+        // The host must have delegated every destination granule.
+        const RmiStatus s = granules_.assign(
+            m.dest[m.copied], m.srcGranules[m.copied].second, realm_id);
         if (s != RmiStatus::Success)
             return s;
         ++m.copied;
         ++copied_out;
         stats_.migrationGranulesCopied.inc();
-        (void)src;
     }
     if (m.copied == m.srcGranules.size())
         m.phase = MigrationPhase::Copied;
@@ -567,15 +549,14 @@ Rmm::migrateCommit(int realm_id)
         if (rec && !moved)
             return RmiStatus::BadState;
     }
-    // Rewrite every granule reference to the destination window, then
+    // Rewrite every granule reference to its destination, then
     // release (scrub) the source granules back to Delegated.
     // srcGranules ascends (owned() order), so the pairs come out in
     // the ascending order Relocation requires.
     Relocation reloc;
     reloc.reserve(m.srcGranules.size());
     for (std::size_t i = 0; i < m.srcGranules.size(); ++i)
-        reloc.emplace_back(m.srcGranules[i].first,
-                           m.destBase + i * granuleSize);
+        reloc.emplace_back(m.srcGranules[i].first, m.dest[i]);
     if (auto to = relocated(reloc, r->rdGranule))
         r->rdGranule = *to;
     for (Rec& rec : r->recs) {
@@ -601,12 +582,10 @@ Rmm::migrateAbort(int realm_id)
     if (!r || r->mig.phase == MigrationPhase::Idle)
         return RmiStatus::BadState;
     RealmMigration& m = r->mig;
-    // Release whatever reached the destination window (the RMM scrubs
-    // on release, so the partial copy leaks nothing).
-    for (std::size_t i = 0; i < m.copied; ++i) {
-        granules_.release(m.destBase + i * granuleSize,
-                          m.srcGranules[i].second, realm_id);
-    }
+    // Release whatever reached the destination (the RMM scrubs on
+    // release, so the partial copy leaks nothing).
+    for (std::size_t i = 0; i < m.copied; ++i)
+        granules_.release(m.dest[i], m.srcGranules[i].second, realm_id);
     // Restore core bindings in reverse bind order.
     for (auto it = m.rebound.rbegin(); it != m.rebound.rend(); ++it) {
         Rec* rec = findRec(realm_id, *it);

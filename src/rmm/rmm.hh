@@ -45,8 +45,9 @@ using sim::CoreId;
 using sim::Proc;
 using sim::Tick;
 
-/** Realm lifecycle states (RMM specification). */
-enum class RealmState { New, Active, Destroyed };
+/** Realm lifecycle states (RMM specification). A destroyed realm is
+ * freed; its id stays invalid. */
+enum class RealmState { New, Active };
 
 /** REC (vCPU context) states. */
 enum class RecState { Ready, Running, Stopped, Destroyed };
@@ -60,8 +61,6 @@ enum class RecState { Ready, Running, Stopped, Destroyed };
  * granule set prepare snapshotted.
  */
 enum class MigrationPhase { Idle, Prepared, Copying, Copied };
-
-const char* migrationPhaseName(MigrationPhase p);
 
 struct RealmParams {
     std::string name = "realm";
@@ -85,11 +84,11 @@ class Rec
 /** In-flight live-migration bookkeeping for one realm. */
 struct RealmMigration {
     MigrationPhase phase = MigrationPhase::Idle;
-    /** Base of the destination granule window (set by first copy). */
-    PhysAddr destBase = 0;
     /** Source granules snapshotted at prepare, ascending address;
-     * srcGranules[i] is mirrored to destBase + i * granuleSize. */
+     * srcGranules[i] is mirrored to dest[i]. */
     std::vector<std::pair<PhysAddr, GranuleState>> srcGranules;
+    /** Host-delegated destination granules (set by the first copy). */
+    std::vector<PhysAddr> dest;
     /** Copy cursor into srcGranules (resumable after a stall). */
     std::size_t copied = 0;
     /** Core bindings at prepare time, for rollback. */
@@ -108,7 +107,7 @@ class Realm
 {
   public:
     int id = -1;
-    RealmState state = RealmState::Destroyed;
+    RealmState state = RealmState::New;
     sim::DomainId domain = sim::invalidDomain;
     RealmParams params;
     PhysAddr rdGranule = 0;
@@ -221,7 +220,10 @@ class Rmm
     RmiStatus realmCreate(PhysAddr rd, const RealmParams& params,
                           int& realm_out);
     RmiStatus realmActivate(int realm);
+    /** Release every granule the realm owns to Delegated and free the
+     * realm (RTT, RECs, measurement); every REC must be destroyed. */
     RmiStatus realmDestroy(int realm);
+    /** The realm with id @p id; nullptr once it is destroyed. */
     Realm* realm(int id);
     /** @} */
 
@@ -278,10 +280,11 @@ class Rmm
      *
      * The flow mirrors the granule-by-granule style of the paged RMIs:
      * prepare snapshots the realm's granules and core bindings (all
-     * RECs must be paused), copy moves batches into a host-delegated
-     * destination window (resumable; an injected rtt-copy-stall
-     * bounces a batch with Busy and no progress), bindRec moves each
-     * REC's dedicated-core binding, and commit atomically rewrites
+     * RECs must be paused), copy moves batches into host-delegated
+     * destination granules, one per source granule (resumable with
+     * the same list; an injected rtt-copy-stall bounces a batch with
+     * Busy and no progress), bindRec moves each REC's dedicated-core
+     * binding, and commit atomically rewrites
      * every granule reference (RD, RECs, RTT tables and leaves) to the
      * destination and releases the source granules. Abort at any
      * pre-commit point restores bindings and releases the partial
@@ -291,7 +294,7 @@ class Rmm
      * Costs::granuleCopy per granule.
      */
     RmiStatus migratePrepare(int realm);
-    RmiStatus migrateCopy(int realm, PhysAddr dest_base,
+    RmiStatus migrateCopy(int realm, const std::vector<PhysAddr>& dest,
                           std::size_t max_granules,
                           std::size_t& copied_out);
     RmiStatus migrateBindRec(int realm, int rec, CoreId new_core);

@@ -13,6 +13,13 @@ using sim::Compute;
 static Proc<ExitInfo> sharedCvmGuestRun(host::Kernel& k,
                                         rmm::GuestContext& g);
 
+/** Busy or Timeout: the call did not run, so it may be re-issued. */
+static bool
+transientRmi(rmm::RmiStatus s)
+{
+    return s == rmm::RmiStatus::Busy || s == rmm::RmiStatus::Timeout;
+}
+
 KvmVm::KvmVm(host::Kernel& kernel, guest::Vm& vm, KickBroker& kicks,
              KvmConfig cfg)
     : kernel_(kernel),
@@ -20,8 +27,7 @@ KvmVm::KvmVm(host::Kernel& kernel, guest::Vm& vm, KickBroker& kicks,
       kicks_(kicks),
       cfg_(cfg),
       injQueue_(static_cast<size_t>(vm.numVcpus())),
-      mmioResp_(static_cast<size_t>(vm.numVcpus())),
-      nextGranule_((static_cast<std::uint64_t>(vm.domain()) + 1) << 32)
+      mmioResp_(static_cast<size_t>(vm.numVcpus()))
 {}
 
 KvmVm::~KvmVm()
@@ -284,9 +290,7 @@ KvmVm::rmiCall(std::function<rmm::RmiStatus()> op)
         } else {
             s = co_await transport_->call(op);
         }
-        const bool transient = s == rmm::RmiStatus::Busy ||
-                               s == rmm::RmiStatus::Timeout;
-        if (!transient) {
+        if (!transientRmi(s)) {
             if (injected && s == rmm::RmiStatus::Success) {
                 sim.faults().noteRecovered(
                     sim::FaultSite::RmiTransientError);
@@ -307,94 +311,68 @@ Proc<void>
 KvmVm::cvmMapPage(std::uint64_t ipa)
 {
     CG_ASSERT(rmm_ && transport_, "CVM page fault without a realm");
-    // Delegate a fresh granule and walk the RTT down to the leaf, one
-    // RMI call per missing level, each going through the transport.
+    // Walk the RTT down to the leaf: delegate a fresh granule for each
+    // missing level, then for the page itself. On Arm CCA every step
+    // is an RMI through the transport; TDX-style management edits the
+    // untrusted levels host-side without monitor calls (section 6.1),
+    // so only the leaf acceptance pays the transport.
     const std::uint64_t page = ipa & ~(rmm::granuleSize - 1);
-    rmm::Realm* r = rmm_->realm(realmId_);
-    CG_ASSERT(r, "realm %d vanished", realmId_);
-    // Create missing intermediate tables. On Arm CCA every level is
-    // an RMI (granule delegate + RTT create); TDX-style management
-    // edits the untrusted levels host-side without monitor calls
-    // (section 6.1), so only the leaf acceptance pays the transport.
+    rmm::Rmm* rmm = rmm_;
+    const int realm = realmId_;
     for (;;) {
-        if (r->rtt.translate(page).has_value())
-            co_return; // already mapped (benign refault)
-        if (r->rtt.tablesComplete(page))
-            break; // only the leaf mapping is missing
+        // Looked up again after every call: teardown may have
+        // destroyed the realm while one was in flight.
+        const rmm::Realm* r = rmm->realm(realm);
+        if (!r || r->rtt.translate(page).has_value())
+            co_return; // gone, or already mapped (benign refault)
+        const bool leaf = r->rtt.tablesComplete(page);
         const int level = r->rtt.walkLevel(page);
-        const std::uint64_t g = nextGranule_;
-        nextGranule_ += rmm::granuleSize;
-        rmm::Rmm* rmm = rmm_;
-        const int realm = realmId_;
-        if (cfg_.tdxStylePageTables) {
+        if (cfg_.tdxStylePageTables && !leaf) {
             co_await Compute{cost(400 * sim::nsec)};
-            rmm->granuleDelegate(g);
-            const rmm::RmiStatus s = rmm->rttCreate(realm, page,
-                                                    level, g);
+            const rmm::RmiStatus s = rmm->rttCreate(
+                realm, page, level, delegateGranule(*rmm, kernel_));
             CG_ASSERT(s == rmm::RmiStatus::Success, "rttCreate: %s",
                       rmm::rmiStatusName(s));
             continue;
         }
-        const rmm::RmiStatus dg = co_await rmiCall(
+        const rmm::PhysAddr g = kernel_.allocPage();
+        rmm::RmiStatus s = co_await rmiCall(
             [rmm, g] { return rmm->granuleDelegate(g); });
-        if (dg != rmm::RmiStatus::Success) {
+        if (s != rmm::RmiStatus::Success) {
+            // The allocator never hands out a page the monitor tracks,
+            // so only a spent retry budget lands here.
+            CG_ASSERT(transientRmi(s), "%s: granuleDelegate: %s",
+                      vm_.name().c_str(), rmm::rmiStatusName(s));
+            kernel_.freePage(g);
             sim::warn("%s: granuleDelegate gave up: %s (page fault "
-                      "unserviced; the guest refaults)",
-                      vm_.name().c_str(), rmm::rmiStatusName(dg));
-            co_return;
-        }
-        const rmm::RmiStatus s = co_await rmiCall(
-            [rmm, realm, page, level, g] {
-                return rmm->rttCreate(realm, page, level, g);
-            });
-        if (s == rmm::RmiStatus::Busy ||
-            s == rmm::RmiStatus::Timeout) {
-            sim::warn("%s: rttCreate gave up: %s (page fault "
                       "unserviced; the guest refaults)",
                       vm_.name().c_str(), rmm::rmiStatusName(s));
             co_return;
         }
-        if (s == rmm::RmiStatus::BadState) {
-            // Lost a benign race: another vCPU's fault handler created
-            // this level between our walk and the monitor running the
-            // call. Hand the granule back and re-walk.
-            rmm->granuleUndelegate(g);
+        s = co_await rmiCall([rmm, realm, page, level, g, leaf] {
+            return leaf ? rmm->dataCreateUnknown(realm, page, g)
+                        : rmm->rttCreate(realm, page, level, g);
+        });
+        if (s == rmm::RmiStatus::Success) {
+            if (leaf)
+                co_return;
             continue;
         }
-        CG_ASSERT(s == rmm::RmiStatus::Success, "rttCreate: %s",
+        // The granule was never assigned: hand it back to the host.
+        undelegateGranule(*rmm, kernel_, g);
+        const char* call = leaf ? "dataCreateUnknown" : "rttCreate";
+        if (transientRmi(s)) {
+            sim::warn("%s: %s gave up: %s (page fault unserviced; the "
+                      "guest refaults)",
+                      vm_.name().c_str(), call, rmm::rmiStatusName(s));
+            co_return;
+        }
+        // Lost a benign race: another vCPU's fault handler created
+        // this level, or mapped this page, between our walk and the
+        // monitor running the call (or the realm is gone). Re-walk.
+        CG_ASSERT(s == rmm::RmiStatus::BadState, "%s: %s", call,
                   rmm::rmiStatusName(s));
     }
-    const std::uint64_t g = nextGranule_;
-    nextGranule_ += rmm::granuleSize;
-    rmm::Rmm* rmm = rmm_;
-    const rmm::RmiStatus dg = co_await rmiCall(
-        [rmm, g] { return rmm->granuleDelegate(g); });
-    if (dg != rmm::RmiStatus::Success) {
-        sim::warn("%s: granuleDelegate gave up: %s (page fault "
-                  "unserviced; the guest refaults)",
-                  vm_.name().c_str(), rmm::rmiStatusName(dg));
-        co_return;
-    }
-    const int realm = realmId_;
-    const rmm::RmiStatus s = co_await rmiCall(
-        [rmm, realm, page, g] {
-            return rmm->dataCreateUnknown(realm, page, g);
-        });
-    if (s == rmm::RmiStatus::Busy || s == rmm::RmiStatus::Timeout) {
-        sim::warn("%s: dataCreateUnknown gave up: %s (page fault "
-                  "unserviced; the guest refaults)",
-                  vm_.name().c_str(), rmm::rmiStatusName(s));
-        co_return;
-    }
-    if (s == rmm::RmiStatus::BadState &&
-        r->rtt.translate(page).has_value()) {
-        // Same benign race on the leaf: the page got mapped while our
-        // call was in flight.
-        rmm->granuleUndelegate(g);
-        co_return;
-    }
-    CG_ASSERT(s == rmm::RmiStatus::Success, "dataCreateUnknown: %s",
-              rmm::rmiStatusName(s));
 }
 
 // -------------------------------------------------------- vCPU threads
@@ -477,19 +455,35 @@ sharedCvmGuestRun(host::Kernel& k, rmm::GuestContext& g)
 
 // ---------------------------------------------------------- realm setup
 
-int
-createRealmFor(rmm::Rmm& rmm, guest::Vm& vm)
+static_assert(host::Kernel::pageSize == rmm::granuleSize,
+              "the host allocates the monitor's granules as pages");
+
+rmm::PhysAddr
+delegateGranule(rmm::Rmm& rmm, host::Kernel& kernel)
 {
-    // Granule addresses for this realm come from a private window.
-    std::uint64_t next =
-        (static_cast<std::uint64_t>(vm.domain()) + 0x100) << 32;
-    auto granule = [&next, &rmm]() {
-        const std::uint64_t g = next;
-        next += rmm::granuleSize;
-        const rmm::RmiStatus s = rmm.granuleDelegate(g);
-        CG_ASSERT(s == rmm::RmiStatus::Success, "delegate failed: %s",
-                  rmm::rmiStatusName(s));
-        return g;
+    const rmm::PhysAddr g = kernel.allocPage();
+    const rmm::RmiStatus s = rmm.granuleDelegate(g);
+    CG_ASSERT(s == rmm::RmiStatus::Success, "delegate 0x%llx: %s",
+              static_cast<unsigned long long>(g),
+              rmm::rmiStatusName(s));
+    return g;
+}
+
+void
+undelegateGranule(rmm::Rmm& rmm, host::Kernel& kernel, rmm::PhysAddr g)
+{
+    const rmm::RmiStatus s = rmm.granuleUndelegate(g);
+    CG_ASSERT(s == rmm::RmiStatus::Success, "undelegate 0x%llx: %s",
+              static_cast<unsigned long long>(g),
+              rmm::rmiStatusName(s));
+    kernel.freePage(g);
+}
+
+int
+createRealmFor(rmm::Rmm& rmm, host::Kernel& kernel, guest::Vm& vm)
+{
+    const auto granule = [&rmm, &kernel] {
+        return delegateGranule(rmm, kernel);
     };
 
     int realm = -1;
@@ -528,6 +522,23 @@ createRealmFor(rmm::Rmm& rmm, guest::Vm& vm)
               rmm::rmiStatusName(s));
     vm.setConfidential(true);
     return realm;
+}
+
+void
+destroyRealm(rmm::Rmm& rmm, host::Kernel& kernel, int realm)
+{
+    const rmm::Realm* r = rmm.realm(realm);
+    CG_ASSERT(r, "destroyRealm: no realm %d", realm);
+    // Snapshot first: destroying a REC already releases its granule.
+    const auto held = rmm.granules().owned(realm);
+    const int recs = static_cast<int>(r->recs.size());
+    for (int i = 0; i < recs; ++i)
+        rmm.recDestroy(realm, i);
+    const rmm::RmiStatus s = rmm.realmDestroy(realm);
+    CG_ASSERT(s == rmm::RmiStatus::Success, "realmDestroy(%d): %s",
+              realm, rmm::rmiStatusName(s));
+    for (const auto& [g, state] : held)
+        undelegateGranule(rmm, kernel, g);
 }
 
 } // namespace cg::vmm

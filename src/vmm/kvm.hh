@@ -233,18 +233,38 @@ class KvmVm
     std::function<void(int)> kickOverride_;
     sim::Gate shutdownGate_;
     int aliveVcpus_ = 0;
-    std::uint64_t nextGranule_;
     KvmStats stats_;
     sim::StatGroup statGroup_;
 };
 
 /**
- * Build a realm for @p vm through the RMI: delegate granules, create
- * the realm and one REC per vCPU, populate initial data (measured),
- * attach guest contexts, and activate.
+ * @{ The host's half of the granule lifecycle (DESIGN.md §12), by
+ * direct, uncharged RMI calls. Every granule the host delegates is a
+ * page of @p kernel's allocator, and every granule it undelegates goes
+ * back there. So a fresh page that will not delegate, or a released
+ * granule that will not undelegate, is a program bug, and panics.
+ */
+rmm::PhysAddr delegateGranule(rmm::Rmm& rmm, host::Kernel& kernel);
+void undelegateGranule(rmm::Rmm& rmm, host::Kernel& kernel,
+                       rmm::PhysAddr g);
+/** @} */
+
+/**
+ * Build a realm for @p vm through the RMI: delegate granules from
+ * @p kernel's allocator, create the realm and one REC per vCPU,
+ * populate initial data (measured), attach guest contexts, and
+ * activate.
  * @return the realm id.
  */
-int createRealmFor(rmm::Rmm& rmm, guest::Vm& vm);
+int createRealmFor(rmm::Rmm& rmm, host::Kernel& kernel, guest::Vm& vm);
+
+/**
+ * Destroy @p realm in the CCA order: its RECs, then the realm, then
+ * undelegate every granule it held and give the pages back to
+ * @p kernel. The calls are direct and uncharged, like the rest of
+ * teardown. No REC may be running.
+ */
+void destroyRealm(rmm::Rmm& rmm, host::Kernel& kernel, int realm);
 
 } // namespace cg::vmm
 

@@ -207,7 +207,7 @@ Testbed::createVmOn(const std::string& name,
         kvmConfigFor(cfg_.mode, vcpu_mask));
 
     if (cfg_.mode != RunMode::SharedCore) {
-        const int realm = vmm::createRealmFor(*rmm_, *inst->vm);
+        const int realm = vmm::createRealmFor(*rmm_, *kernel_, *inst->vm);
         inst->kvm->attachRealm(*rmm_, realm);
         CG_ASSERT(rmm_->realm(realm)->domain == inst->vm->domain(),
                   "domain bookkeeping out of sync for '%s'",
@@ -352,6 +352,11 @@ Testbed::destroyVm(VmInstance& v)
 {
     for (auto it = vms_.begin(); it != vms_.end(); ++it) {
         if (it->get() == &v) {
+            // A realm teardown() has not destroyed, such as one whose
+            // start() rolled back, goes before its guest contexts do.
+            const int realm = v.kvm->realmId();
+            if (v.kvm->rmm() && rmm_->realm(realm))
+                vmm::destroyRealm(*rmm_, *kernel_, realm);
             vms_.erase(it);
             return;
         }

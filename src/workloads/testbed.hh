@@ -215,8 +215,10 @@ class Testbed
     /**
      * Drop a VM the churn driver is done with (guest shut down and —
      * for gapped VMs — teardown()/terminate() awaited first, so the
-     * cores and planner reservations are already back). Invalidates
-     * @p v and every reference into it.
+     * cores and planner reservations are already back). A realm still
+     * live, such as that of a VM whose start() failed, is destroyed
+     * and its granules go back to the host. Invalidates @p v and every
+     * reference into it.
      */
     void destroyVm(VmInstance& v);
 

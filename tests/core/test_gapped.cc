@@ -86,7 +86,7 @@ struct Rig {
         vmm::KvmConfig kcfg;
         kcfg.mode = vmm::VmMode::SharedCoreCvm;
         kvm = std::make_unique<vmm::KvmVm>(*kernel, *vm, *kicks, kcfg);
-        const int realm = vmm::createRealmFor(*rmm, *vm);
+        const int realm = vmm::createRealmFor(*rmm, *kernel, *vm);
         kvm->attachRealm(*rmm, realm);
         gapped = std::make_unique<GappedVm>(*kvm, *doorbell, gcfg);
     }

@@ -188,10 +188,12 @@ TEST(HostileHost, BogusRmiSequencesFailClosed)
               rmm::RmiStatus::BadState);
     // Steal a data granule back while assigned: refused, and it stays
     // host-inaccessible (invariant I4).
-    // (Granule addresses for this realm start at its private window.)
-    const rmm::PhysAddr some_data =
-        ((static_cast<std::uint64_t>(vm.vm->domain()) + 0x100) << 32) +
-        5 * rmm::granuleSize;
+    rmm::PhysAddr some_data = 0;
+    for (const auto& [addr, state] : r.granules().owned(realm)) {
+        if (state == rmm::GranuleState::Data)
+            some_data = addr;
+    }
+    ASSERT_NE(some_data, 0u);
     EXPECT_EQ(r.granuleUndelegate(some_data), rmm::RmiStatus::BadState);
     EXPECT_FALSE(r.granules().hostAccessible(some_data));
     // Attest a nonexistent realm: refused.

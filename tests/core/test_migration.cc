@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,6 +83,12 @@ runScenario(bool migrate, std::vector<CoreId> dest = {3, 4},
     if (!fault_plan.empty())
         bed.sim().faults().arm(23, sim::FaultPlan::parse(fault_plan));
     VmInstance& vm = bed.createVm("m", 3); // host 0, guests {1,2}
+    std::vector<cg::rmm::PhysAddr> source; // the granules it starts on
+    for (const auto& [addr, state] :
+         bed.rmm().granules().owned(vm.kvm->realmId())) {
+        (void)state;
+        source.push_back(addr);
+    }
 
     ScenarioResult r;
     r.writes.resize(2);
@@ -122,13 +129,15 @@ runScenario(bool migrate, std::vector<CoreId> dest = {3, 4},
         EXPECT_TRUE(bed.kernel().isOnline(1)); // source handed back
         EXPECT_TRUE(bed.kernel().isOnline(2));
         EXPECT_FALSE(bed.kernel().isOnline(dest[0]));
-        // The realm's granules all live in the migration window; the
-        // source window was undelegated back to the host.
+        // The realm's granules all moved to the destination; the
+        // source granules were undelegated back to the host.
         for (const auto& [addr, state] :
              bed.rmm().granules().owned(vm.kvm->realmId())) {
             (void)state;
-            EXPECT_GE(addr, 0x5ull << 44);
+            EXPECT_EQ(std::count(source.begin(), source.end(), addr), 0);
         }
+        for (cg::rmm::PhysAddr addr : source)
+            EXPECT_TRUE(bed.rmm().granules().hostAccessible(addr));
         EXPECT_EQ(bed.rmm().stats().migrationsCommitted.value(), 1u);
     }
     if (ctrl_out)

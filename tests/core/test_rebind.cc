@@ -81,7 +81,7 @@ struct Rig {
         vmm::KvmConfig kcfg;
         kcfg.mode = vmm::VmMode::SharedCoreCvm;
         kvm = std::make_unique<vmm::KvmVm>(*kernel, *vm, *kicks, kcfg);
-        kvm->attachRealm(*rmm, vmm::createRealmFor(*rmm, *vm));
+        kvm->attachRealm(*rmm, vmm::createRealmFor(*rmm, *kernel, *vm));
         GappedVmConfig gcfg;
         gcfg.guestCores = {1};
         gcfg.hostCores = host::CpuMask::single(0);
@@ -204,7 +204,7 @@ TEST_F(RebindFixture, RefusesAnotherTenantsCore)
     vmm::KvmConfig kcfg2;
     kcfg2.mode = vmm::VmMode::SharedCoreCvm;
     vmm::KvmVm kvm2(*kernel, vm2, *kicks, kcfg2);
-    kvm2.attachRealm(*rmm, vmm::createRealmFor(*rmm, vm2));
+    kvm2.attachRealm(*rmm, vmm::createRealmFor(*rmm, *kernel, vm2));
     GappedVmConfig gcfg2;
     gcfg2.guestCores = {3};
     gcfg2.hostCores = host::CpuMask::single(0);

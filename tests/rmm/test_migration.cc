@@ -135,6 +135,16 @@ struct MigrationFixture : ::testing::Test {
         }
         return base;
     }
+    /** The @p n granules of the window at @p base, as migrateCopy
+     * takes them. */
+    static std::vector<PhysAddr>
+    window(PhysAddr base, std::size_t n)
+    {
+        std::vector<PhysAddr> out;
+        for (std::size_t i = 0; i < n; ++i)
+            out.push_back(base + i * granuleSize);
+        return out;
+    }
 };
 
 } // namespace
@@ -253,19 +263,20 @@ TEST_F(MigrationFixture, CopyIsResumableAcrossInjectedStalls)
     // Stall the second copy batch.
     sim.faults().arm(7, sim::FaultPlan::parse("rtt-copy-stall:nth=2"));
     std::size_t copied = 0;
-    ASSERT_EQ(rmm->migrateCopy(realm, base, 2, copied),
+    ASSERT_EQ(rmm->migrateCopy(realm, window(base, total), 2, copied),
               RmiStatus::Success);
     EXPECT_EQ(copied, 2u);
     EXPECT_EQ(rmm->migrationPhase(realm), MigrationPhase::Copying);
     // The stalled batch makes no progress and the cursor holds.
-    EXPECT_EQ(rmm->migrateCopy(realm, base, 2, copied),
+    EXPECT_EQ(rmm->migrateCopy(realm, window(base, total), 2, copied),
               RmiStatus::Busy);
     EXPECT_EQ(copied, 0u);
     EXPECT_EQ(rmm->stats().migrationStalls.value(), 1u);
     // A different window mid-copy is rejected; the same one resumes.
-    EXPECT_EQ(rmm->migrateCopy(realm, base + granuleSize, 0, copied),
+    EXPECT_EQ(rmm->migrateCopy(realm, window(base + granuleSize, total),
+                               0, copied),
               RmiStatus::BadArgs);
-    ASSERT_EQ(rmm->migrateCopy(realm, base, 0, copied),
+    ASSERT_EQ(rmm->migrateCopy(realm, window(base, total), 0, copied),
               RmiStatus::Success);
     EXPECT_EQ(copied, total - 2);
     EXPECT_EQ(rmm->migrationPhase(realm), MigrationPhase::Copied);
@@ -283,7 +294,8 @@ TEST_F(MigrationFixture, AbortRestoresBindingsAndReleasesDestCopy)
     ASSERT_EQ(rmm->migratePrepare(realm), RmiStatus::Success);
     const PhysAddr base = destWindow(before.size());
     std::size_t copied = 0;
-    ASSERT_EQ(rmm->migrateCopy(realm, base, 0, copied),
+    ASSERT_EQ(rmm->migrateCopy(realm, window(base, before.size()), 0,
+                               copied),
               RmiStatus::Success);
     ASSERT_EQ(rmm->migrateBindRec(realm, rec, 4), RmiStatus::Success);
     EXPECT_EQ(rmm->recBinding(realm, rec), 4);
@@ -311,9 +323,10 @@ TEST_F(MigrationFixture, CommitRequiresEveryBoundRecMoved)
     makeRealm();
     bindOn(1);
     ASSERT_EQ(rmm->migratePrepare(realm), RmiStatus::Success);
-    const PhysAddr base = destWindow(rmm->migrationGranuleCount(realm));
+    const std::size_t total = rmm->migrationGranuleCount(realm);
+    const PhysAddr base = destWindow(total);
     std::size_t copied = 0;
-    ASSERT_EQ(rmm->migrateCopy(realm, base, 0, copied),
+    ASSERT_EQ(rmm->migrateCopy(realm, window(base, total), 0, copied),
               RmiStatus::Success);
     // A REC still bound to a source core blocks the commit.
     EXPECT_EQ(rmm->migrateCommit(realm), RmiStatus::BadState);
@@ -337,7 +350,8 @@ TEST_F(MigrationFixture, CommitRelocatesEveryReferenceAndFreesSource)
     ASSERT_EQ(rmm->migratePrepare(realm), RmiStatus::Success);
     const PhysAddr base = destWindow(before.size());
     std::size_t copied = 0;
-    ASSERT_EQ(rmm->migrateCopy(realm, base, 0, copied),
+    ASSERT_EQ(rmm->migrateCopy(realm, window(base, before.size()), 0,
+                               copied),
               RmiStatus::Success);
     ASSERT_EQ(rmm->migrateBindRec(realm, rec, 4), RmiStatus::Success);
     ASSERT_EQ(rmm->migrateCommit(realm), RmiStatus::Success);

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault.hh"
 #include "sim/simulation.hh"
 #include "vmm/kvm.hh"
 #include "vmm/sriov.hh"
@@ -140,7 +141,7 @@ struct Rig {
     {
         rmm = std::make_unique<cg::rmm::Rmm>(*machine,
                                              cg::rmm::RmmConfig{});
-        const int realm = createRealmFor(*rmm, *vm);
+        const int realm = createRealmFor(*rmm, *kernel, *vm);
         kvm->attachRealm(*rmm, realm);
     }
 };
@@ -337,6 +338,36 @@ TEST_F(KvmFixture, CvmPageFaultsPopulateRtt)
     ASSERT_NE(r, nullptr);
     // 64 boot pages + 10 faulted pages.
     EXPECT_EQ(r->rtt.mappedPages(), 74u);
+}
+
+TEST_F(KvmFixture, CvmPageFaultGiveUpHandsItsGranuleBack)
+{
+    // The first fault's delegate succeeds (RMI query 1); every attempt
+    // of its level-2 rttCreate then bounces Busy (queries 2-6), so the
+    // fault gives up holding a delegated granule, which must go back
+    // to the host rather than stay Delegated without an owner.
+    guest::VmConfig vcfg;
+    vcfg.numVcpus = 1;
+    vcfg.tickPeriod = 0;
+    KvmConfig kcfg;
+    kcfg.mode = VmMode::SharedCoreCvm;
+    boot(2, vcfg, kcfg);
+    makeCvm();
+    sim.faults().arm(1, sim::FaultPlan::parse(
+                            "rmi-transient-error:nth=2;"
+                            "rmi-transient-error:nth=3;"
+                            "rmi-transient-error:nth=4;"
+                            "rmi-transient-error:nth=5;"
+                            "rmi-transient-error:nth=6"));
+    vm->vcpu(0).startGuest(
+        "toucher", faultTouchAndShutdown(vm->vcpu(0), 3));
+    kvm->start();
+    sim.run(5 * sim::sec);
+    EXPECT_TRUE(kvm->shutdownGate().isOpen());
+    EXPECT_EQ(kvm->stats().rmiGiveUps.value(), 1u);
+    const cg::rmm::GranuleTracker& g = rmm->granules();
+    EXPECT_EQ(g.countInState(cg::rmm::GranuleState::Delegated), 0u);
+    EXPECT_EQ(kernel->pagesInUse(), g.owned(kvm->realmId()).size());
 }
 
 // ------------------------------------------------- guest power-off (PSCI)
