@@ -262,7 +262,9 @@ main(int argc, char** argv)
     }
 
     CorePlanner planner(bed.machine(), host::CpuMask::firstN(kHostCores));
-    bed.spawnStart(); // no VMs yet: opens started() for the workers
+    // No VMs yet, so nothing for startAll() to start: each op starts
+    // its own VM. Just open started() for the workers.
+    bed.started().open();
 
     std::mt19937_64 rng(seed);
     std::vector<std::unique_ptr<Slot>> live;

@@ -156,29 +156,40 @@ runOpenLoop(SweepMode m, double offered_krps, Tick duration)
     return p;
 }
 
+/** The p999 knee, and whether the sweep's range censors it. */
+struct Knee {
+    double krps = 0.0;
+    /** -1: the first load already breaks the SLO, so the knee is at
+     * most krps; +1: no load breaks it, so the knee is at least krps;
+     * 0: krps is interpolated inside the sweep. */
+    int censored = 0;
+};
+
 /**
  * Offered load (krps) at which p999 first crosses the SLO, linearly
- * interpolated between the bracketing sweep points. Returns the top
- * offered load if the sweep never crosses (the knee is off the right
- * edge of the sweep — a better number than pretending it's infinite).
+ * interpolated between the bracketing sweep points. When the crossing
+ * lies off either edge of the sweep, the edge load is returned as a
+ * bound, marked by Knee::censored.
  */
-double
+Knee
 kneeKrps(const std::vector<SweepPoint>& pts)
 {
     for (std::size_t i = 0; i < pts.size(); ++i) {
         if (pts[i].r.p999Ms <= kneeSloMs)
             continue;
         if (i == 0)
-            return pts[0].r.offeredKrps;
+            return {pts[0].r.offeredKrps, -1};
         const double x0 = pts[i - 1].r.offeredKrps;
         const double x1 = pts[i].r.offeredKrps;
         const double y0 = pts[i - 1].r.p999Ms;
         const double y1 = pts[i].r.p999Ms;
         if (y1 <= y0)
-            return x1;
-        return x0 + (x1 - x0) * (kneeSloMs - y0) / (y1 - y0);
+            return {x1, 0};
+        return {x0 + (x1 - x0) * (kneeSloMs - y0) / (y1 - y0), 0};
     }
-    return pts.empty() ? 0.0 : pts.back().r.offeredKrps;
+    if (pts.empty())
+        return {};
+    return {pts.back().r.offeredKrps, 1};
 }
 
 void
@@ -224,13 +235,21 @@ openLoopSweep(bool quick)
                 ipu_dataplane_exits += p.kickExits + p.r.irqExits;
             pts.push_back(p);
         }
-        const double knee = kneeKrps(pts);
-        std::printf("  %-12s p999 %.1fms-SLO knee: %.1f krps\n",
-                    sweepModeName(m), kneeSloMs, knee);
+        const Knee knee = kneeKrps(pts);
+        std::printf("  %-12s p999 %.1fms-SLO knee: %s%.1f krps\n",
+                    sweepModeName(m), kneeSloMs,
+                    knee.censored < 0   ? "≤"
+                    : knee.censored > 0 ? "≥"
+                                        : "",
+                    knee.krps);
         cg::bench::jsonRow(
             sim::strFormat("openloop GET %s p999 knee krps",
                            sweepModeName(m)),
-            0, knee);
+            0, knee.krps);
+        cg::bench::jsonRow(
+            sim::strFormat("openloop GET %s p999 knee censored",
+                           sweepModeName(m)),
+            0, knee.censored);
         if (m == SweepMode::GappedIpu) {
             // The IPU backend's whole point: posted doorbells plus
             // direct-injected RX leave nothing for the host to trap

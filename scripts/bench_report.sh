@@ -14,8 +14,9 @@
 #     the end-to-end number a perf regression actually costs. These
 #     rows are recorded, not gated;
 #   - table5_redis's open-loop serving-path sweep: p50/p99/p999 per
-#     offered-load point, each mode's p999-SLO knee, and the IPU
-#     backend's data-path exit count (must stay 0);
+#     offered-load point, each mode's p999-SLO knee and whether the
+#     sweep's range censors it, and the IPU backend's data-path exit
+#     count (must stay 0);
 #   - ext_soak_churn's 2-sim-hour fault-armed churn soak:
 #     soak.migrations, soak.rollbacks, soak.ops, soak.quarantined and
 #     soak.leakEdges (which must stay 0).

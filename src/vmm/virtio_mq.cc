@@ -145,6 +145,11 @@ MqVirtioNet::guestSend(VCpu& v, std::uint64_t bytes, int dst_port,
     const int qi = static_cast<int>(
         cookie % static_cast<std::uint64_t>(cfg_.numQueues));
     Queue& q = *queues_[static_cast<size_t>(qi)];
+    // EVENT_IDX (vring_need_event): only a descriptor that lands on
+    // an empty ring needs a kick; the device drains to empty before it
+    // sleeps, so one behind it is covered by its kick.
+    if (q.txRing.empty())
+        q.foundEmpty = true;
     q.txRing.push_back(TxReq{bytes, dst_port, cookie});
     ++q.unkicked;
     // Doorbell batching: defer the (possibly trapped) kick until a
@@ -167,14 +172,18 @@ MqVirtioNet::flushKicks(VCpu& v, int qi)
     if (q.unkicked == 0)
         co_return;
     const int batch = q.unkicked;
+    const bool found_empty = q.foundEmpty;
     q.unkicked = 0;
+    q.foundEmpty = false;
     q.kickBatch_.sample(static_cast<double>(batch));
     sim().tracer().instant("mq-kick-flush", sim::Tracer::domainsPid, 0,
                            "batch",
                            static_cast<std::uint64_t>(batch));
-    if (!q.kickGate.armed()) {
-        // EVENT_IDX: the device is draining (or its re-arm is still
-        // in flight) — it will see the burst on its next ring check.
+    if (!found_empty || !q.kickGate.armed()) {
+        // EVENT_IDX: the burst queued behind an already-kicked
+        // descriptor, or the device is draining (or its re-arm is
+        // still in flight) — it will see the burst on its next ring
+        // check.
         q.kicksSuppressed_.inc();
         co_return;
     }

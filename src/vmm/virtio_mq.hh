@@ -1,7 +1,8 @@
 /**
  * @file
- * Multi-queue virtio-net and its IPU-offloaded sibling: the serving
- * path of the open-loop latency sweeps (DESIGN.md section 11).
+ * Virtio-net, multi-queue, with an IPU-offloaded backend: the serving
+ * path of the open-loop latency sweeps (DESIGN.md section 11) and, at
+ * one queue with a kick per send, fig. 8's emulated NIC.
  *
  * One device carries @c numQueues independent TX/RX queue pairs. Each
  * queue has its own doorbell (one MMIO word per queue inside the
@@ -25,6 +26,15 @@
  * burst is flushed by one doorbell when it reaches kickBatchLimit or
  * when the guest is about to block in guestRecv(). Under load one
  * trapped exit (or one posted write) therefore covers many packets.
+ *
+ * Kick suppression mirrors virtio's EVENT_IDX: a flush rings the
+ * doorbell only if one of its sends found the TX ring empty (a
+ * descriptor queued behind another is covered by that one's kick, as
+ * in Linux's vring_need_event) and the device's armed flag (KickGate)
+ * is visible. The device publishes the flag before sleeping and
+ * disarms it while draining; the publish has cache-line timing, so the
+ * device re-checks its rings once the flag lands (the lost-kick window
+ * close). One kick per device sleep, however small the batch limit.
  */
 
 #ifndef CG_VMM_VIRTIO_MQ_HH
@@ -41,8 +51,8 @@
 
 namespace cg::vmm {
 
-/** Default MMIO window for the multi-queue NIC (own page, clear of
- * the single-queue devices). */
+/** Default MMIO window for the NIC (own page, clear of virtio-blk's);
+ * a Testbed assigns its own. */
 constexpr std::uint64_t mqNetMmioBase = 0x0a100000;
 /** Per-queue doorbell stride inside the window: queue q kicks at
  * mmioBase + virtioKickOffset(0x50) + q * mqKickStride. */
@@ -139,6 +149,9 @@ class MqVirtioNet
         KickGate kickGate;
         bool irqArmed = true;   ///< per-queue NAPI coalescing
         int unkicked = 0;       ///< sends since the last doorbell
+        /** A send since the last flush found txRing empty: only then
+         * may the flush ring the doorbell (one kick per device sleep). */
+        bool foundEmpty = false;
         host::Thread* ioThread = nullptr;
         std::vector<std::uint64_t> txLog;
         sim::Counter txPackets_;

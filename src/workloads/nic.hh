@@ -1,15 +1,15 @@
 /**
  * @file
  * A uniform guest-side NIC interface over the network paths the paper
- * evaluates: emulated virtio and SR-IOV passthrough (fig. 8), plus the
- * multi-queue / IPU-offload serving path (DESIGN.md section 11).
+ * evaluates: emulated virtio (MqGuestNic; fig. 8 runs it at one queue)
+ * and SR-IOV passthrough (fig. 8), plus the multi-queue / IPU-offload
+ * serving path (DESIGN.md section 11).
  */
 
 #ifndef CG_WORKLOADS_NIC_HH
 #define CG_WORKLOADS_NIC_HH
 
 #include "vmm/sriov.hh"
-#include "vmm/virtio.hh"
 #include "vmm/virtio_mq.hh"
 
 namespace cg::workloads {
@@ -48,30 +48,6 @@ class GuestNic
     /** @} */
 };
 
-class VirtioGuestNic : public GuestNic
-{
-  public:
-    explicit VirtioGuestNic(vmm::VirtioNet& n) : nic_(n) {}
-
-    sim::Proc<void>
-    send(guest::VCpu& v, std::uint64_t bytes, int dst_port,
-         std::uint64_t cookie) override
-    {
-        return nic_.guestSend(v, bytes, dst_port, cookie);
-    }
-
-    sim::Proc<vmm::Packet>
-    recv(guest::VCpu& v) override
-    {
-        return nic_.guestRecv(v);
-    }
-
-    int port() const override { return nic_.port(); }
-
-  private:
-    vmm::VirtioNet& nic_;
-};
-
 class SriovGuestNic : public GuestNic
 {
   public:
@@ -96,8 +72,8 @@ class SriovGuestNic : public GuestNic
     vmm::SriovNic& nic_;
 };
 
-/** The multi-queue serving-path NIC (Trapped or IpuOffload backend);
- * recv(v) with no queue index reads queue 0. */
+/** The virtio NIC (Trapped or IpuOffload backend); recv(v) with no
+ * queue index reads queue 0. */
 class MqGuestNic : public GuestNic
 {
   public:

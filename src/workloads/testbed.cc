@@ -233,17 +233,6 @@ Testbed::createVmOn(const std::string& name,
 }
 
 void
-Testbed::addVirtioNet(VmInstance& v)
-{
-    vmm::VirtioNet::Config c;
-    c.mmioBase = nextMmioBase_;
-    nextMmioBase_ += 0x1000;
-    c.irq = nextIrq_++;
-    c.ioThreadAffinity = v.hostMask;
-    v.vnet = std::make_unique<vmm::VirtioNet>(*v.kvm, *fabric_, c);
-}
-
-void
 Testbed::addVirtioBlk(VmInstance& v)
 {
     vmm::VirtioBlk::Config c;

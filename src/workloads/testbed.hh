@@ -81,7 +81,6 @@ struct VmInstance {
     std::vector<sim::CoreId> physCores;         ///< all cores accounted
     std::vector<sim::CoreId> guestCores;        ///< dedicated (gapped)
     host::CpuMask hostMask;                     ///< VMM-thread cores
-    std::unique_ptr<vmm::VirtioNet> vnet;
     std::unique_ptr<vmm::VirtioBlk> vblk;
     std::unique_ptr<vmm::SriovNic> sriov;
     std::unique_ptr<vmm::MqVirtioNet> mqnet;
@@ -150,7 +149,6 @@ class Testbed
                            cg::core::CorePlanner* planner = nullptr);
 
     /** @{ Attach devices (before start). */
-    void addVirtioNet(VmInstance& v);
     void addVirtioBlk(VmInstance& v);
     /**
      * @p direct enables direct interrupt delivery (gapped modes only):

@@ -69,8 +69,8 @@ netPipe(Testbed& bed, bool sriov)
         bed.addSriovNic(vm);
         nic = std::make_unique<SriovGuestNic>(*vm.sriov);
     } else {
-        bed.addVirtioNet(vm);
-        nic = std::make_unique<VirtioGuestNic>(*vm.vnet);
+        bed.addMqNic(vm, {.queues = 1, .kickBatchLimit = 1});
+        nic = std::make_unique<MqGuestNic>(*vm.mqnet);
     }
     RemoteHost remote(bed.sim(), bed.fabric(),
                       bed.machine().costs().remoteStack);
